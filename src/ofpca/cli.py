@@ -80,7 +80,7 @@ def _add_common_fit_args(parser):
     parser.add_argument("--project-on-load", action="store_true",
                         help="repair invalid objects by metric projection on load")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: OFPCA_THREADS or 1)")
+                        help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mise.add_argument("--components", type=int, default=3)
     p_mise.add_argument("--truth-debug", action="store_true",
                         help="feed the true surface into the eigen step (all errors ~ 0)")
-    p_mise.add_argument("--threads", type=int, default=None)
+    p_mise.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
     p_mise.add_argument("--out", required=True, help="output CSV path")
 
     p_export = sub.add_parser("export-plots", help="re-emit plot CSVs from a fit artifact")

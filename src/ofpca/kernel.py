@@ -1,8 +1,7 @@
 """Metric auto-covariance estimation for samples of object-valued curves.
 
-The central estimator is a U-statistic over trajectory pairs built from
-squared distances only, so it applies verbatim in every supported
-metric space:
+The estimator of the paper is a U-statistic over trajectory pairs built
+from squared distances only:
 
     C_hat(s, t) = 1/(4 n (n-1)) * sum_{i != j} f_{s,t}(X_i, X_j)
 
@@ -11,15 +10,23 @@ with the pair kernel
     f_{s,t}(x, y) = d^2(x(s), y(t)) + d^2(y(s), x(t))
                     - d^2(x(s), x(t)) - d^2(y(s), y(t)).
 
-The distance tensor d^2(X_i(s), X_j(t)) has n^2 T^2 entries; it is
-never materialized.  Pair blocks of shape (T, T) are computed one
-anchor trajectory at a time and reduced in a fixed order, so the result
-is reproducible bit for bit regardless of the worker-thread count.
+Every supported space is flat in its scaled coordinates,
+d^2(a, b) = ||c (a - b)||^2 with c = ``SpaceKind.coord_scale``, so the
+pair kernel is f_{s,t}(x, y) = 2 c^2 <x(s) - y(s), x(t) - y(t)> and the
+U-statistic equals the classical unbiased cross-covariance of the
+coordinate curves:
+
+    C_hat(s, t) = c^2/(n-1) * sum_i <X_i(s) - Xbar(s), X_i(t) - Xbar(t)>.
+
+:func:`estimate_cov_surface` computes it as one (T, nL) x (nL, T)
+matrix product of the centered coordinates, at O(n T^2 L) cost.
+Centering first also keeps the result accurate for curves with a large
+common offset.  :func:`pair_kernel` keeps the distance-only form as a
+test oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +39,7 @@ from .errors import (
     SpaceMismatch,
     TooFewTrajectories,
 )
-from .spaces import ObjectPoint, SpaceKind, cross_squared_distances, validate_block
+from .spaces import ObjectPoint, SpaceKind, validate_block
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
@@ -204,104 +211,73 @@ def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int
     )
 
 
-def _pair_block_terms(E: np.ndarray, sq: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contributions of anchor trajectory i to the pair-kernel sum.
-
-    Returns (S_i + S_i^T, D_ii) where S_i = sum_{j > i} D_ij and
-    D_ij[s, t] = d^2(X_i(s), X_j(t)).
-    """
-    T = E.shape[1]
-    gram_self = E[i] @ E[i].T
-    gram_self = 0.5 * (gram_self + gram_self.T)
-    d_self = sq[i][:, None] + sq[i][None, :] - 2.0 * gram_self
-    if i == E.shape[0] - 1:
-        return np.zeros((T, T)), d_self
-    rest = E[i + 1 :]
-    gram = E[i] @ rest.reshape(-1, E.shape[2]).T  # (T, (n-i-1)*T)
-    gram = gram.reshape(T, rest.shape[0], T)
-    # sum over j of D_ij: broadcast the squared norms, then reduce
-    s_i = (rest.shape[0] * sq[i])[:, None] + sq[i + 1 :].sum(axis=0)[None, :] - 2.0 * gram.sum(axis=1)
-    return s_i + s_i.T, d_self
-
-
 def estimate_cov_surface(sample: ObjectSample, threads: int = 1) -> KernelSurface:
-    """U-statistic estimate of the metric auto-covariance surface.
+    """U-statistic estimate of the metric auto-covariance surface, computed
+    as the centered cross-covariance of the scaled coordinates (see the
+    module docstring).
 
-    Pair blocks are summed over j > i and doubled (the pair kernel is
-    symmetric in the trajectory pair), and the result is symmetric in
-    (s, t) by construction.  With ``threads > 1`` the per-anchor blocks
-    are computed concurrently but reduced in index order, so the output
-    does not depend on the thread count.
+    ``threads`` is accepted for compatibility and ignored: the result
+    does not depend on it.
     """
     n = sample.n
     if n < 2:
         raise TooFewTrajectories("covariance estimation needs n >= 2")
-    E = sample.stacked_values * sample.space.coord_scale
-    sq = np.einsum("itp,itp->it", E, E)
     T = sample.time_grid.size
-
-    indices = range(n)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(lambda i: _pair_block_terms(E, sq, i), indices))
-    else:
-        results = [_pair_block_terms(E, sq, i) for i in indices]
-
-    cross = np.zeros((T, T))
-    self_sum = np.zeros((T, T))
-    for s_sym, d_self in results:
-        cross += s_sym
-        self_sum += d_self
-
-    surface = (2.0 * (cross - (n - 1) * self_sum)) / (4.0 * n * (n - 1))
+    X = np.stack([tr.values for tr in sample.trajectories], axis=1)  # (T, n, L)
+    X -= X.mean(axis=1, keepdims=True)
+    X = X.reshape(T, -1)
+    surface = X @ X.T * sample.space.coord_scale**2 / (n - 1)
     surface = 0.5 * (surface + surface.T)
     return KernelSurface(sample.time_grid, surface, trapezoid_weights(sample.time_grid))
 
 
-def _stack_points(objs: list[ObjectPoint]) -> tuple[SpaceKind, np.ndarray]:
+def _centered_points(objs: list[ObjectPoint]) -> tuple[SpaceKind, np.ndarray]:
+    """Scaled coordinates of the objects minus their mean, as (n, L).
+
+    The rows are shifted by the first object before centering, so
+    identical objects center to exact zeros.
+    """
     if len(objs) < 2:
         raise TooFewTrajectories("need at least two objects")
     space = objs[0].space
     for o in objs[1:]:
         if o.space != space:
             raise SpaceMismatch("objects must share a space")
-    return space, np.stack([o.data for o in objs])
+    rows = np.stack([o.data for o in objs])
+    rows = rows - rows[0]
+    rows -= rows.mean(axis=0)
+    return space, rows * space.coord_scale
 
 
 def metric_variance(objs: list[ObjectPoint]) -> float:
-    """U-statistic estimate of the metric variance (1/2) E d^2(U, U').
+    """U-statistic estimate of the metric variance (1/2) E d^2(U, U'),
+    computed as sum_i ||U_i - Ubar||^2 / (n-1) in scaled coordinates.
 
     Equals the diagonal of :func:`estimate_cov_surface` when the objects
     are a time slice of a sample, and the unbiased sample variance for
     scalars.
     """
-    space, rows = _stack_points(objs)
-    n = rows.shape[0]
-    d2 = cross_squared_distances(space, rows, rows)
-    np.fill_diagonal(d2, 0.0)  # d(x, x) = 0 exactly; drop Gram-trick noise
-    return float(d2.sum() / (2.0 * n * (n - 1)))
+    _, rows = _centered_points(objs)
+    return float(np.sum(rows * rows) / (rows.shape[0] - 1))
 
 
 def metric_covariance(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
-    """U-statistic estimate of the metric covariance of paired objects.
+    """U-statistic estimate of the metric covariance of paired objects,
+    computed as sum_i <U_i - Ubar, V_i - Vbar> / (n-1) in scaled
+    coordinates.
 
-    Both lists must live in the same space: the estimator evaluates
-    distances between u- and v-objects.
+    Both lists must live in the same space: the U-statistic evaluates
+    distances between u- and v-objects.  With ``u`` equal to ``v`` the
+    result equals :func:`metric_variance` bit for bit, so
+    self-correlation is exactly 1.
     """
-    space_u, rows_u = _stack_points(u)
-    space_v, rows_v = _stack_points(v)
+    space_u, rows_u = _centered_points(u)
+    space_v, rows_v = _centered_points(v)
     if space_u != space_v:
         raise SpaceMismatch("metric covariance needs both margins in one space")
     if rows_u.shape[0] != rows_v.shape[0]:
         raise InvalidObject("paired lists must have equal length")
-    n = rows_u.shape[0]
-    m = cross_squared_distances(space_u, rows_u, rows_v)
-    # pairs with identical objects have distance 0 exactly; enforcing that
-    # keeps self-correlation at exactly 1
-    same = np.nonzero(np.all(rows_u == rows_v, axis=1))[0]
-    m[same, same] = 0.0
-    trace = np.trace(m)
-    return float((m.sum() - n * trace) / (2.0 * n * (n - 1)))
+    return float(np.sum(rows_u * rows_v) / (rows_u.shape[0] - 1))
 
 
 def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:

@@ -6,16 +6,18 @@ through fixed polynomial directions, so the population auto-covariance
 is a known rank-3 kernel and estimation error can be measured exactly.
 Random numbers come from counter-based Philox streams with one
 substream per trajectory, so enlarging a sample extends it without
-reshuffling earlier trajectories.
+reshuffling earlier trajectories.  Only the factor draws are made per
+trajectory; the values of a whole sample are built in one broadcast over
+the draws, bit for bit equal to building each trajectory on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidObject
 from .kernel import (
@@ -154,29 +156,46 @@ def distribution_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.nda
     return mu, np.maximum(sigma, 1e-6)
 
 
+def quantile_probes(m: int) -> np.ndarray:
+    """Standard normal quantiles at the midpoint grid u_k = (k - 0.5)/m."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(u) for u in quantile_space(m).quantile_grid()])
+
+
+def _distribution_values(mu, sigma, probes) -> np.ndarray:
+    values = sigma[..., None] * probes
+    values += mu[..., None]
+    return values
+
+
 def distribution_trajectory(u, v, w, z, time_grid, m: int) -> ObjectTrajectory:
     """One quantile-vector trajectory from explicit factor draws."""
-    space = quantile_space(m)
     mu, sigma = distribution_curve_params(u, v, w, z, time_grid)
-    probe = ndtri(space.quantile_grid())
-    values = mu[..., None] + sigma[..., None] * probe
-    return ObjectTrajectory(space, np.asarray(time_grid, float), values)
+    values = _distribution_values(mu, sigma, quantile_probes(m))
+    return ObjectTrajectory(quantile_space(m), np.asarray(time_grid, float), values)
+
+
+def _sample_from_values(space, time_grid, values) -> ObjectSample:
+    return ObjectSample(tuple(ObjectTrajectory(space, time_grid, v) for v in values))
 
 
 def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
     with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
     W ~ sqrt(72) Unif(0, 1), Z ~ 3 Unif(0, 1)."""
-    grid = cfg.time_grid
-    trajectories = []
+    draws = np.empty((4, cfg.n))
     for i in range(cfg.n):
         rng = _trajectory_rng(cfg.seed, i)
-        u = rng.normal() * np.sqrt(12.0)
-        v = rng.normal()
-        w = np.sqrt(72.0) * rng.uniform()
-        z = 3.0 * rng.uniform()
-        trajectories.append(distribution_trajectory(u, v, w, z, grid, cfg.m))
-    return ObjectSample(tuple(trajectories))
+        draws[:, i] = (
+            rng.normal() * np.sqrt(12.0),
+            rng.normal(),
+            np.sqrt(72.0) * rng.uniform(),
+            3.0 * rng.uniform(),
+        )
+    grid = cfg.time_grid
+    mu, sigma = distribution_curve_params(*draws, grid)
+    values = _distribution_values(mu, sigma, quantile_probes(cfg.m))
+    return _sample_from_values(quantile_space(cfg.m), grid, values)
 
 
 def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -194,46 +213,48 @@ def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]
 _CROSS_WEIGHT = 0.1
 
 
-def _community_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r, c = NETWORK_NODES, NETWORK_COMMUNITY
-    in1 = np.zeros((r, r))
-    in1[:c, :c] = 1.0
-    in2 = np.zeros((r, r))
-    in2[c:, c:] = 1.0
-    np.fill_diagonal(in1, 0.0)
-    np.fill_diagonal(in2, 0.0)
-    cross = np.ones((r, r)) - np.eye(r) - in1 - in2
-    return in1, in2, cross
+@lru_cache(maxsize=None)
+def _edge_classes() -> np.ndarray:
+    """Class of each entry of the flattened adjacency matrix: 0 inside the
+    first community, 1 inside the second, 2 across, 3 on the diagonal."""
+    first = np.arange(NETWORK_NODES) < NETWORK_COMMUNITY
+    same = first[:, None] == first[None, :]
+    classes = np.where(same, np.where(first[:, None], 0, 1), 2)
+    np.fill_diagonal(classes, 3)
+    return classes.ravel()
+
+
+def _network_values(p1, p2) -> np.ndarray:
+    """Flattened adjacency matrices for edge-weight curves of shape (..., T),
+    gathered from the weights (p1, p2, cross, 0) by edge class, so the
+    result is the only array of that size that is built."""
+    weights = np.stack([p1, p2, np.full_like(p1, _CROSS_WEIGHT), np.zeros_like(p1)], axis=-1)
+    return weights[..., _edge_classes()]
 
 
 def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
     """One adjacency-matrix trajectory from explicit factor draws: edge
     weight p1 inside the first community, p2 inside the second, 0.1
     across, zero diagonal."""
-    p1, p2 = network_curve_params(u, v, w, z, time_grid)
-    in1, in2, cross = _community_masks()
-    mats = (
-        p1[:, None, None] * in1
-        + p2[:, None, None] * in2
-        + _CROSS_WEIGHT * cross
-    )
-    values = mats.reshape(len(np.asarray(time_grid)), -1)
+    values = _network_values(*network_curve_params(u, v, w, z, time_grid))
     return ObjectTrajectory(adjacency_space(NETWORK_NODES), np.asarray(time_grid, float), values)
 
 
 def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
     """Sample of two-community network trajectories with factor draws
     U ~ Unif(0, 0.4), V ~ Unif(0, 0.1), W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1)."""
-    grid = cfg.time_grid
-    trajectories = []
+    draws = np.empty((4, cfg.n))
     for i in range(cfg.n):
         rng = _trajectory_rng(cfg.seed, i)
-        u = rng.uniform(0.0, 0.4)
-        v = rng.uniform(0.0, 0.1)
-        w = rng.uniform(0.0, 0.3)
-        z = rng.uniform(0.0, 0.1)
-        trajectories.append(network_trajectory(u, v, w, z, grid))
-    return ObjectSample(tuple(trajectories))
+        draws[:, i] = (
+            rng.uniform(0.0, 0.4),
+            rng.uniform(0.0, 0.1),
+            rng.uniform(0.0, 0.3),
+            rng.uniform(0.0, 0.1),
+        )
+    grid = cfg.time_grid
+    values = _network_values(*network_curve_params(*draws, grid))
+    return _sample_from_values(adjacency_space(NETWORK_NODES), grid, values)
 
 
 def simulate(cfg) -> ObjectSample:

@@ -1,10 +1,15 @@
 """Command-line interface: determinism, exit codes, golden regression."""
 
+import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+import ofpca
 from ofpca.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -198,3 +203,36 @@ class TestThreadEnv:
         monkeypatch.setenv("OFPCA_THREADS", "many")
         assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
                     "--out", tmp_path / "fit"]) == 2
+
+
+class TestBlasThreads:
+    """Outputs must not depend on the BLAS thread count."""
+
+    @staticmethod
+    def digests(args, out, blas_threads):
+        env = dict(os.environ)
+        src = str(pathlib.Path(ofpca.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(blas_threads)
+        out.parent.mkdir(exist_ok=True)
+        subprocess.run([sys.executable, "-m", "ofpca.cli", *map(str, args), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+    def test_mise_and_fit_bytes(self, tmp_path):
+        for design in ("dist", "net"):
+            data = tmp_path / f"{design}.json"
+            assert run(["simulate", "--design", design, "--n", "40", "--seed", "2",
+                        "--out", data]) == 0
+            for args, name in (
+                (["mise", "--design", design, "--n", "100", "--runs", "10", "--seed", "1"],
+                 "mise.csv"),
+                (["fit", data, "--components", "3"], "fit"),
+            ):
+                one, two = (
+                    self.digests(args, tmp_path / f"blas{k}" / f"{design}-{name}", k)
+                    for k in (1, 2)
+                )
+                assert one == two, (design, name)

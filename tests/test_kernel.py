@@ -13,6 +13,7 @@ from ofpca import (
     ObjectTrajectory,
     SpaceMismatch,
     TooFewTrajectories,
+    adjacency_space,
     distance_cov_surface,
     estimate_cov_surface,
     metric_correlation,
@@ -21,6 +22,7 @@ from ofpca import (
     pair_kernel,
     quantile_space,
     scalar_space,
+    sympsd_space,
     total_variance,
     trapezoid_weights,
 )
@@ -46,6 +48,35 @@ def quantile_sample(rng, n, T, m):
         vals = np.sort(rng.normal(size=(T, m)), axis=1)
         trajs.append(ObjectTrajectory(space, grid, vals))
     return ObjectSample(tuple(trajs))
+
+
+def random_objects(space, rng, shape):
+    """Random valid coordinates of ``space`` with leading shape ``shape``."""
+    if space.tag == "scalar":
+        return rng.normal(size=shape + (1,))
+    if space.tag == "quantile":
+        return np.sort(rng.normal(size=shape + (space.dim,)), axis=-1)
+    r = space.dim
+    a = rng.uniform(size=shape + (r, r))
+    if space.tag == "adjacency":
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        a[..., np.arange(r), np.arange(r)] = 0.0
+    else:
+        a = a @ np.swapaxes(a, -1, -2)
+    return a.reshape(shape + (r * r,))
+
+
+def pair_kernel_surface(sample):
+    """The U-statistic summed by brute force over all pairs i != j."""
+    n, T = sample.n, sample.time_grid.size
+    total = np.zeros((T, T))
+    for i, x in enumerate(sample.trajectories):
+        for j, y in enumerate(sample.trajectories):
+            if i != j:
+                for s in range(T):
+                    for t in range(T):
+                        total[s, t] += pair_kernel(x, y, s, t)
+    return total / (4.0 * n * (n - 1))
 
 
 class TestPairKernel:
@@ -149,6 +180,33 @@ class TestCovSurface:
         oracle = np.einsum("isp,itp->st", centered, centered) / (n - 1)
         assert np.abs(surface.values - oracle).max() <= 1e-10
 
+    @pytest.mark.parametrize("space", [scalar_space(), quantile_space(4),
+                                       adjacency_space(3), sympsd_space(3)],
+                             ids=lambda sp: sp.tag)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("T", [2, 4])
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+    def test_matches_pair_kernel_u_statistic(self, space, n, T, constant):
+        rng = np.random.default_rng(100 * n + T)
+        if constant:
+            values = np.repeat(random_objects(space, rng, (n, 1)), T, axis=1)
+        else:
+            values = random_objects(space, rng, (n, T))
+        grid = np.linspace(0.0, 1.0, T)
+        sample = ObjectSample(tuple(ObjectTrajectory(space, grid, v) for v in values))
+        want = pair_kernel_surface(sample)
+        got = estimate_cov_surface(sample).values
+        assert np.abs(want).max() > 0.0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_large_offset_matches_np_cov(self):
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(40, 9)) + 1e8
+        X[:5] = X[:5, :1]  # a few constant curves
+        want = np.cov(X, rowvar=False)
+        got = estimate_cov_surface(scalar_sample(X)).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_threads_do_not_change_bytes(self):
         rng = np.random.default_rng(12)
         sample = scalar_sample(rng.normal(size=(20, 10)))
@@ -192,6 +250,14 @@ class TestMetricVariance:
             vals = rng.normal(size=int(rng.integers(2, 30)))
             objs = [ObjectPoint(space, [v]) for v in vals]
             assert metric_variance(objs) == pytest.approx(np.var(vals, ddof=1), abs=1e-12)
+
+    def test_large_offset_matches_np_var(self):
+        rng = np.random.default_rng(31)
+        space = scalar_space()
+        vals = rng.normal(size=50) + 1e8
+        objs = [ObjectPoint(space, [v]) for v in vals]
+        want = np.var(vals, ddof=1)
+        assert abs(metric_variance(objs) - want) <= 1e-12 * want
 
     def test_matches_surface_diagonal(self):
         rng = np.random.default_rng(14)
@@ -244,6 +310,20 @@ class TestMetricCorrelation:
             assert metric_correlation(u, v) == pytest.approx(
                 pearson_unbiased(uu, vv), abs=1e-10
             )
+
+    def test_large_offset_covariance_matches_np_cov(self):
+        rng = np.random.default_rng(32)
+        space = scalar_space()
+        uu = rng.normal(size=50)
+        vv = 0.5 * uu + rng.normal(size=50)
+        uu, vv = uu + 1e8, vv - 1e8
+        u = [ObjectPoint(space, [x]) for x in uu]
+        v = [ObjectPoint(space, [x]) for x in vv]
+        want = np.cov(uu, vv)
+        assert abs(metric_covariance(u, v) - want[0, 1]) <= 1e-12 * abs(want[0, 1])
+        assert metric_correlation(u, v) == pytest.approx(
+            want[0, 1] / np.sqrt(want[0, 0] * want[1, 1]), abs=1e-12
+        )
 
     def test_degenerate_variance(self):
         space = scalar_space()

@@ -1,8 +1,11 @@
 """Simulation designs: bases, generators, population checks, MISE harness."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, ndtri
 
 from ofpca import (
     DistributionSimConfig,
@@ -26,7 +29,11 @@ from ofpca.sim import (
     network_curve_params,
     network_population_eigenvalue,
     network_trajectory,
+    quantile_probes,
     run_seed,
+    _distribution_values,
+    _network_values,
+    _trajectory_rng,
 )
 
 from oracles import mc_pair_kernel_mean
@@ -157,6 +164,80 @@ class TestDistributionGenerator:
         sample = simulate_distributions(DistributionSimConfig(n=6, n_times=9, m=25, seed=1))
         diffs = np.diff(sample.stacked_values, axis=2)
         assert diffs.min() >= 0.0
+
+
+class TestBatchedSimulation:
+    """The batched generators against one trajectory built at a time."""
+
+    @staticmethod
+    def reference_distributions(cfg):
+        trajs = []
+        for i in range(cfg.n):
+            rng = _trajectory_rng(cfg.seed, i)
+            u = rng.normal() * np.sqrt(12.0)
+            v = rng.normal()
+            w = np.sqrt(72.0) * rng.uniform()
+            z = 3.0 * rng.uniform()
+            trajs.append(distribution_trajectory(u, v, w, z, cfg.time_grid, cfg.m))
+        return np.stack([tr.values for tr in trajs])
+
+    @staticmethod
+    def reference_networks(cfg):
+        trajs = []
+        for i in range(cfg.n):
+            rng = _trajectory_rng(cfg.seed, i)
+            u = rng.uniform(0.0, 0.4)
+            v = rng.uniform(0.0, 0.1)
+            w = rng.uniform(0.0, 0.3)
+            z = rng.uniform(0.0, 0.1)
+            trajs.append(network_trajectory(u, v, w, z, cfg.time_grid))
+        return np.stack([tr.values for tr in trajs])
+
+    @pytest.mark.parametrize("n", [2, 17])
+    @pytest.mark.parametrize("T", [3, 51])
+    def test_distributions_bit_equal_to_reference(self, n, T):
+        cfg = DistributionSimConfig(n=n, n_times=T, m=13, seed=4)
+        got = simulate_distributions(cfg).stacked_values
+        assert got.tobytes() == self.reference_distributions(cfg).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 17])
+    @pytest.mark.parametrize("T", [3, 51])
+    def test_networks_bit_equal_to_reference(self, n, T):
+        cfg = NetworkSimConfig(n=n, n_times=T, seed=4)
+        got = simulate_networks(cfg).stacked_values
+        assert got.tobytes() == self.reference_networks(cfg).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 17])
+    def test_sample_is_prefix_of_larger_sample(self, n):
+        for make, cfg in (
+            (simulate_distributions, DistributionSimConfig(n=n, n_times=9, m=11, seed=3)),
+            (simulate_networks, NetworkSimConfig(n=n, n_times=9, seed=3)),
+        ):
+            small = make(cfg).stacked_values
+            big = make(replace(cfg, n=n + 5)).stacked_values
+            assert big[:n].tobytes() == small.tobytes()
+
+    @pytest.mark.parametrize("design", ["dist", "net"])
+    def test_values_built_without_full_size_temporaries(self, design):
+        # a sample-sized temporary per term made every simulated sample
+        # allocate, fault in and free several arrays of its own size
+        p = np.linspace(0.2, 0.8, 100 * 51).reshape(100, 51)
+        tracemalloc.start()
+        try:
+            if design == "dist":
+                values = _distribution_values(p, p, quantile_probes(100))
+            else:
+                values = _network_values(p, p[::-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (100, 51, 100)
+        assert peak < 1.5 * values.nbytes
+
+    @pytest.mark.parametrize("m", [2, 7, 100, 10000])
+    def test_quantile_probes_match_ndtri(self, m):
+        want = ndtri((np.arange(1, m + 1) - 0.5) / m)
+        assert np.abs(quantile_probes(m) - want).max() <= 2e-15
 
 
 class TestNetworkGenerator:
