@@ -14,13 +14,11 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .eigen import EigenSystem
 from .errors import (
     BadRank,
     BadWeights,
@@ -51,16 +49,15 @@ INPUT_ERRORS = (
 )
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
+def _check_threads(value) -> None:
+    """--threads and OFPCA_THREADS have no effect, but a malformed value
+    is still an input error."""
     env = os.environ.get("OFPCA_THREADS")
-    if env:
+    if value is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise SchemaError(f"OFPCA_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _add_common_fit_args(parser):
@@ -129,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args):
+def _make_config(args, n):
     if args.design == "dist":
-        return DistributionSimConfig(n=args.n, n_times=args.n_times, m=args.m, seed=args.seed)
-    return NetworkSimConfig(n=args.n, n_times=args.n_times, seed=args.seed)
+        return DistributionSimConfig(n=n, n_times=args.n_times, m=args.m, seed=args.seed)
+    return NetworkSimConfig(n=n, n_times=args.n_times, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
-    sample = simulate(_make_config(args))
+    sample = simulate(_make_config(args, args.n))
     io.save_trajectory_file(sample, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -152,57 +149,28 @@ def _select_components(sample, args):
     return k
 
 
-def _run_fit(args):
+def _run_fit(args, fpc_objects):
     sample = io.load_trajectory_file(args.input, project_on_load=args.project_on_load)
     if args.space is not None and sample.space.tag != args.space:
         raise SchemaError(
             f"file holds {sample.space.tag!r} objects, --space says {args.space!r}"
         )
     k = _select_components(sample, args)
-    threads = _resolve_threads(args.threads)
+    _check_threads(args.threads)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = fit_fpca(
             sample,
             n_components=k,
             clip_negative=args.clip_negative_eigenvalues,
-            fpc_objects=args.fpc_objects,
-            threads=threads,
+            fpc_objects=fpc_objects,
+            explained_fraction=args.explained_fraction,
         )
-    notes = [str(w.message) for w in caught]
-
-    if args.explained_fraction is not None:
-        clipped = np.clip(fit.eigen.eigenvalues, 0.0, None)
-        total = clipped.sum()
-        if total > 0:
-            cum = np.cumsum(clipped) / total
-            keep = int(np.searchsorted(cum, args.explained_fraction - 1e-12) + 1)
-            keep = min(keep, fit.eigen.num_retained)
-            if keep < fit.eigen.num_retained:
-                es = fit.eigen
-                trimmed = EigenSystem(
-                    es.eigenvalues[:keep],
-                    es.eigenfunctions[:keep],
-                    es.time_grid,
-                    es.quad_weights,
-                    int(np.sum(es.eigenvalues[:keep] < 0)),
-                    es.clipped,
-                )
-                object_fpcs = fit.object_fpcs
-                if object_fpcs is not None:
-                    object_fpcs = tuple(row[:keep] for row in object_fpcs)
-                fit = replace(
-                    fit,
-                    eigen=trimmed,
-                    scores=fit.scores[:, :keep],
-                    object_fpcs=object_fpcs,
-                    skipped_components=tuple(j for j in fit.skipped_components if j <= keep),
-                )
-    return sample, fit, notes
+    return sample, fit, [str(w.message) for w in caught]
 
 
 def cmd_fit(args) -> int:
-    sample, fit, notes = _run_fit(args)
+    sample, fit, notes = _run_fit(args, args.fpc_objects)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     status = "partial" if fit.skipped_components else "ok"
@@ -217,7 +185,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_scores(args) -> int:
-    _, fit, _ = _run_fit(args)
+    # object components never reach the scores file
+    _, fit, _ = _run_fit(args, fpc_objects=False)
     io.write_scores_csv(args.out, fit.scores)
     print(f"wrote {args.out}")
     return 0
@@ -230,24 +199,13 @@ def cmd_mise(args) -> int:
         raise SchemaError(f"--n must be comma-separated integers, got {args.n!r}")
     if not n_list:
         raise SchemaError("--n selected no sample sizes")
-    threads = _resolve_threads(args.threads)
+    _check_threads(args.threads)
     rows = []
     for n in n_list:
-        if args.design == "dist":
-            cfg = DistributionSimConfig(n=n, n_times=args.n_times, m=args.m, seed=args.seed)
-        else:
-            cfg = NetworkSimConfig(n=n, n_times=args.n_times, seed=args.seed)
+        cfg = _make_config(args, n)
         truth = SimulationTruth.for_config(cfg)
-        rows.append(
-            mise_report(
-                cfg,
-                truth,
-                runs=args.runs,
-                n_components=args.components,
-                truth_debug=args.truth_debug,
-                threads=threads,
-            )
-        )
+        rows.append(mise_report(cfg, truth, runs=args.runs, n_components=args.components,
+                                truth_debug=args.truth_debug))
     io.write_mise_csv(args.out, rows, n_components=args.components)
     print(f"wrote {args.out}")
     return 0

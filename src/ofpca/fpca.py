@@ -6,13 +6,16 @@ of squared distances to the trajectory.  In the convex spaces provided
 here that minimizer is computed exactly as the signed-weight barycenter
 of the trajectory's objects; :func:`riemann_sum_minimizer` is the
 metric-agnostic fallback that searches an explicit candidate set and
-doubles as the independent check of the closed-form path.
+doubles as the independent check of the closed-form path.  Each stage
+takes the sample's (n, T, L) array whole: the object components of all
+n trajectories along one direction are one average and one projection.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +43,7 @@ def frechet_mean_trajectory(sample: ObjectSample) -> ObjectTrajectory:
     projection (a no-op for convex combinations up to rounding).
     """
     avg = sample.stacked_values.mean(axis=0)
-    projected = np.stack(
-        [project_coordinates(sample.space, avg[k]) for k in range(avg.shape[0])]
-    )
-    return ObjectTrajectory(sample.space, sample.time_grid, projected)
+    return ObjectTrajectory(sample.space, sample.time_grid, project_coordinates(sample.space, avg))
 
 
 def normalize_eigenfunction(es: EigenSystem, j: int) -> np.ndarray:
@@ -76,13 +76,18 @@ def object_fpc(
     """
     if quad_weights is None:
         quad_weights = trapezoid_weights(traj.time_grid)
-    phi_star = np.asarray(phi_star, dtype=float)
-    weights = quad_weights * phi_star
+    coords = _frechet_integrals(traj.space, traj.values, quad_weights, phi_star)
+    return ObjectPoint(traj.space, coords)
+
+
+def _frechet_integrals(space, values, quad_weights, phi_star) -> np.ndarray:
+    """Frechet integrals against phi_star of the trajectory in ``values``
+    (T, L), or of all n in (n, T, L): one average, one projection."""
+    weights = quad_weights * np.asarray(phi_star, dtype=float)
     total = weights.sum()
     if abs(total - 1.0) > 1e-8:
         raise BadWeights(f"phi_star integrates to {total!r}, expected 1")
-    average = weights @ traj.values
-    return ObjectPoint(traj.space, project_coordinates(traj.space, average))
+    return project_coordinates(space, weights @ values)
 
 
 def riemann_sum_minimizer(
@@ -132,21 +137,53 @@ def frechet_scores(
     sum_k w_k d(X_i(t_k), mean(t_k)) phi_j(t_k).  Distances enter
     unsquared.
     """
-    curves = distance_curves(sample, mean)
+    return _project_curves(distance_curves(sample, mean), es)
+
+
+def _project_curves(curves: np.ndarray, es: EigenSystem) -> np.ndarray:
     return curves @ (es.eigenfunctions * es.quad_weights).T
 
 
 @dataclass(frozen=True)
 class FpcaFit:
-    """Bundle of everything the pipeline estimates from one sample."""
+    """Bundle of everything the pipeline estimates from one sample.
+
+    ``object_components[j]`` holds the (n, L) object components along
+    component j+1 (None if skipped); ``object_fpcs[i][j]`` views them
+    as ObjectPoints.
+    """
 
     surface: KernelSurface
     eigen: EigenSystem
     mean: ObjectTrajectory
     scores: np.ndarray
     distance_curves: np.ndarray
-    object_fpcs: tuple[tuple[ObjectPoint | None, ...], ...] | None
+    object_components: tuple[np.ndarray | None, ...] | None
     skipped_components: tuple[int, ...] = ()
+
+    @cached_property
+    def object_fpcs(self) -> tuple[tuple[ObjectPoint | None, ...], ...] | None:
+        if self.object_components is None:
+            return None
+        columns = ([None] * len(self.scores) if comps is None
+                   else [ObjectPoint(self.mean.space, row) for row in comps]
+                   for comps in self.object_components)
+        return tuple(zip(*columns))
+
+
+def _leading_components(es: EigenSystem, fraction: float) -> EigenSystem:
+    """The smallest leading block of ``es`` whose cumulative explained
+    fraction (of the clipped spectrum) reaches ``fraction``."""
+    clipped = np.clip(es.eigenvalues, 0.0, None)
+    total = clipped.sum()
+    if total <= 0:
+        return es
+    keep = int(np.searchsorted(np.cumsum(clipped) / total, fraction - 1e-12) + 1)
+    if keep >= es.num_retained:
+        return es
+    kept = es.eigenvalues[:keep]
+    return replace(es, eigenvalues=kept, eigenfunctions=es.eigenfunctions[:keep],
+                   n_negative=int(np.sum(kept < 0)))
 
 
 def fit_fpca(
@@ -154,26 +191,33 @@ def fit_fpca(
     n_components: int = 4,
     clip_negative: bool = False,
     fpc_objects: bool = True,
-    threads: int = 1,
+    explained_fraction: float | None = None,
 ) -> FpcaFit:
     """Run the full pipeline: covariance surface, eigensystem, mean curve,
     scores, and (optionally) per-trajectory object components.
 
-    Components whose eigenfunction integrates to numerically zero are
-    skipped for object components (with a warning) but keep their score
-    column.
+    With ``explained_fraction`` the eigensystem keeps only the smallest
+    number of leading components (at most ``n_components``) whose
+    cumulative explained fraction reaches it, before object components
+    are computed from it.  Components whose eigenfunction integrates to
+    numerically zero are skipped for object components (with a warning)
+    but keep their score column.
     """
-    surface = estimate_cov_surface(sample, threads=threads)
+    surface = estimate_cov_surface(sample)
     es = eigendecompose(surface, k=n_components, clip=clip_negative)
     mean = frechet_mean_trajectory(sample)
     curves = distance_curves(sample, mean)
-    scores = curves @ (es.eigenfunctions * es.quad_weights).T
+    # trimmed score columns are sliced from the untrimmed product, so they
+    # match the fit without explained_fraction bit for bit
+    scores = _project_curves(curves, es)
+    if explained_fraction is not None:
+        es = _leading_components(es, explained_fraction)
+        scores = scores[:, : es.num_retained]
 
-    object_fpcs = None
+    object_components = None
     skipped: list[int] = []
     if fpc_objects:
-        weights = surface.quad_weights
-        per_component: list[list[ObjectPoint] | None] = []
+        per_component: list[np.ndarray | None] = []
         for j in range(1, es.num_retained + 1):
             try:
                 phi_star = normalize_eigenfunction(es, j)
@@ -186,21 +230,10 @@ def fit_fpca(
                 skipped.append(j)
                 per_component.append(None)
                 continue
-            col_weights = weights * phi_star
-            comps = []
-            for tr in sample.trajectories:
-                average = col_weights @ tr.values
-                comps.append(
-                    ObjectPoint(sample.space, project_coordinates(sample.space, average))
-                )
-            per_component.append(comps)
-        object_fpcs = tuple(
-            tuple(
-                per_component[j][i] if per_component[j] is not None else None
-                for j in range(es.num_retained)
-            )
-            for i in range(sample.n)
-        )
+            per_component.append(_frechet_integrals(
+                sample.space, sample.stacked_values, surface.quad_weights, phi_star
+            ))
+        object_components = tuple(per_component)
 
     return FpcaFit(
         surface=surface,
@@ -208,6 +241,6 @@ def fit_fpca(
         mean=mean,
         scores=scores,
         distance_curves=curves,
-        object_fpcs=object_fpcs,
+        object_components=object_components,
         skipped_components=tuple(skipped),
     )

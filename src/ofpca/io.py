@@ -2,7 +2,8 @@
 
 All floats are serialized with 17 significant digits so every value
 round-trips exactly, and the writers are deterministic byte for byte
-for a fixed input.
+for a fixed input.  A trajectory file loads into one (n, T, L) array,
+validated once as a block.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidObject, SchemaError
-from .kernel import ObjectSample, ObjectTrajectory
+from .kernel import ObjectSample
 from .spaces import SPACE_TAGS, SpaceKind, project_coordinates
 
 
@@ -94,7 +95,7 @@ def sample_to_dict(sample: ObjectSample) -> dict:
         "space": sample.space.tag,
         "dim": sample.space.dim,
         "time_grid": sample.time_grid,
-        "trajectories": [tr.values for tr in sample.trajectories],
+        "trajectories": sample.stacked_values,
     }
 
 
@@ -131,27 +132,27 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     raw_trajs = _require(doc, "trajectories", list)
     if not raw_trajs:
         raise SchemaError("trajectories must be non-empty", field="trajectories")
-    trajectories = []
+    values = np.empty((len(raw_trajs), grid.size, space.data_len))
     for i, raw in enumerate(raw_trajs):
         field = f"trajectories[{i}]"
         try:
-            values = np.asarray(raw, dtype=float)
+            traj = np.asarray(raw, dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"non-numeric data: {exc}", field=field) from exc
-        if values.ndim != 2 or values.shape != (grid.size, space.data_len):
+        if traj.shape != values.shape[1:]:
             raise SchemaError(
-                f"expected shape ({grid.size}, {space.data_len}), got {values.shape}",
+                f"expected shape ({grid.size}, {space.data_len}), got {traj.shape}",
                 field=field,
             )
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(traj)):
             raise SchemaError("values must be finite", field=field)
-        if project_on_load:
-            values = np.stack([project_coordinates(space, row) for row in values])
-        try:
-            trajectories.append(ObjectTrajectory(space, grid, values))
-        except InvalidObject as exc:
-            raise SchemaError(str(exc), field=field) from exc
-    return ObjectSample(tuple(trajectories))
+        values[i] = traj
+    if project_on_load:
+        values = project_coordinates(space, values)
+    try:
+        return ObjectSample._from_values(space, grid, values)
+    except InvalidObject as exc:
+        raise SchemaError(str(exc), field="trajectories") from exc
 
 
 def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> dict:
@@ -174,25 +175,21 @@ def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> 
         "distance_curves": fit.distance_curves,
         "skipped_components": list(fit.skipped_components),
     }
-    if fit.object_fpcs is None:
+    components = fit.object_components
+    if components is None:
         doc["object_fpcs"] = None
         doc["object_fpc_column_means"] = None
     else:
         doc["object_fpcs"] = [
-            [None if p is None else p.data for p in per_traj] for per_traj in fit.object_fpcs
+            [None if comps is None else comps[i] for comps in components]
+            for i in range(fit.scores.shape[0])
         ]
         # compact display helper: uniform barycenter of each component's
         # column of objects; derived output, not an estimation target
-        means = []
-        n_components = fit.eigen.num_retained
-        for j in range(n_components):
-            column = [row[j] for row in fit.object_fpcs]
-            if any(p is None for p in column):
-                means.append(None)
-                continue
-            avg = np.mean([p.data for p in column], axis=0)
-            means.append(project_coordinates(space, avg))
-        doc["object_fpc_column_means"] = means
+        doc["object_fpc_column_means"] = [
+            None if comps is None else project_coordinates(space, comps.mean(axis=0))
+            for comps in components
+        ]
         doc["object_fpc_column_means_note"] = "derived display summary"
     return doc
 

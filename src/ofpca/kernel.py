@@ -22,7 +22,8 @@ coordinate curves:
 matrix product of the centered coordinates, at O(n T^2 L) cost.
 Centering first also keeps the result accurate for curves with a large
 common offset.  :func:`pair_kernel` keeps the distance-only form as a
-test oracle.
+test oracle.  An :class:`ObjectSample` is one read-only (n, T, L)
+array, validated once as a block, so every stage can batch over it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,20 @@ def _check_time_grid(time_grid: np.ndarray) -> np.ndarray:
     return t
 
 
+def _admitted(space: SpaceKind, time_grid, values: np.ndarray, ndim: int):
+    """The checked time grid and ``values`` ((T, L) with ndim 2, or
+    (n, T, L) with ndim 3) validated as one block, both read-only.
+    ``values`` is frozen in place, so the caller must own it."""
+    t = _check_time_grid(time_grid).copy()
+    if values.ndim != ndim or values.shape[-2:] != (t.size, space.data_len):
+        raise InvalidObject(
+            f"values must have shape (..., T={t.size}, {space.data_len}), got {values.shape}"
+        )
+    values = validate_block(space, values)
+    t.flags.writeable = values.flags.writeable = False
+    return t, values
+
+
 @dataclass(frozen=True)
 class ObjectTrajectory:
     """One object-valued curve: a time grid plus one object per time.
@@ -79,28 +94,9 @@ class ObjectTrajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        t = _check_time_grid(self.time_grid)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != t.size:
-            raise InvalidObject(
-                f"values must have shape (T={t.size}, {self.space.data_len}), got {vals.shape}"
-            )
-        vals = validate_block(self.space, vals).copy()
-        t = t.copy()
-        t.flags.writeable = False
-        vals.flags.writeable = False
+        t, vals = _admitted(self.space, self.time_grid, np.array(self.values, dtype=float), 2)
         object.__setattr__(self, "time_grid", t)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_points(cls, time_grid, points: list[ObjectPoint]) -> "ObjectTrajectory":
-        if len(points) == 0:
-            raise InvalidObject("trajectory needs at least one point")
-        space = points[0].space
-        for p in points[1:]:
-            if p.space != space:
-                raise SpaceMismatch("trajectory points must share a space")
-        return cls(space, np.asarray(time_grid, float), np.stack([p.data for p in points]))
 
     @property
     def n_times(self) -> int:
@@ -114,14 +110,20 @@ class ObjectTrajectory:
         return tuple(self.point(k) for k in range(self.n_times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectSample:
-    """n trajectories sharing one space and one time grid (n >= 2)."""
+    """n >= 2 trajectories on one space and time grid, held as one
+    read-only (n, T, data_len) array ``stacked_values``; ``trajectories``
+    is a lazy view.  ``ObjectSample(trajectories)`` stacks validated
+    trajectories; simulation and file loading use :meth:`_from_values`.
+    """
 
-    trajectories: tuple[ObjectTrajectory, ...]
+    space: SpaceKind
+    time_grid: np.ndarray
+    stacked_values: np.ndarray
 
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
+    def __init__(self, trajectories):
+        trajs = tuple(trajectories)
         if len(trajs) < 2:
             raise TooFewTrajectories("a sample needs at least two trajectories")
         first = trajs[0]
@@ -130,26 +132,33 @@ class ObjectSample:
                 raise SpaceMismatch("sample trajectories must share a space")
             if not np.array_equal(tr.time_grid, first.time_grid):
                 raise InvalidObject("sample trajectories must share the time grid")
-        object.__setattr__(self, "trajectories", trajs)
+        values = np.stack([tr.values for tr in trajs])
+        values.flags.writeable = False
+        # the dataclass is frozen, so its fields go straight into __dict__
+        self.__dict__.update(space=first.space, time_grid=first.time_grid,
+                             stacked_values=values, trajectories=trajs)
 
-    @property
-    def space(self) -> SpaceKind:
-        return self.trajectories[0].space
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return self.trajectories[0].time_grid
+    @classmethod
+    def _from_values(cls, space: SpaceKind, time_grid, values) -> "ObjectSample":
+        """A sample from an (n, T, data_len) array that the caller hands
+        over and no longer writes to: it is validated (and repaired
+        within tolerance) as one block and frozen in place."""
+        t, values = _admitted(space, time_grid, np.asarray(values, dtype=float), 3)
+        if values.shape[0] < 2:
+            raise TooFewTrajectories("a sample needs at least two trajectories")
+        sample = object.__new__(cls)
+        sample.__dict__.update(space=space, time_grid=t, stacked_values=values)
+        return sample
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.stacked_values.shape[0]
 
     @cached_property
-    def stacked_values(self) -> np.ndarray:
-        """(n, T, data_len) array of all coordinates."""
-        out = np.stack([tr.values for tr in self.trajectories])
-        out.flags.writeable = False
-        return out
+    def trajectories(self) -> tuple[ObjectTrajectory, ...]:
+        return tuple(
+            ObjectTrajectory(self.space, self.time_grid, v) for v in self.stacked_values
+        )
 
 
 @dataclass(frozen=True)
@@ -219,13 +228,11 @@ def estimate_cov_surface(sample: ObjectSample, threads: int = 1) -> KernelSurfac
     ``threads`` is accepted for compatibility and ignored: the result
     does not depend on it.
     """
-    n = sample.n
-    if n < 2:
-        raise TooFewTrajectories("covariance estimation needs n >= 2")
-    T = sample.time_grid.size
-    X = np.stack([tr.values for tr in sample.trajectories], axis=1)  # (T, n, L)
+    n, T, L = sample.stacked_values.shape
+    # the one sample-sized temporary: the coordinates as (T, n, L), centered
+    X = sample.stacked_values.transpose(1, 0, 2).copy()
     X -= X.mean(axis=1, keepdims=True)
-    X = X.reshape(T, -1)
+    X = X.reshape(T, n * L)
     surface = X @ X.T * sample.space.coord_scale**2 / (n - 1)
     surface = 0.5 * (surface + surface.T)
     return KernelSurface(sample.time_grid, surface, trapezoid_weights(sample.time_grid))

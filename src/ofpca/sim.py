@@ -8,7 +8,8 @@ Random numbers come from counter-based Philox streams with one
 substream per trajectory, so enlarging a sample extends it without
 reshuffling earlier trajectories.  Only the factor draws are made per
 trajectory; the values of a whole sample are built in one broadcast over
-the draws, bit for bit equal to building each trajectory on its own.
+the draws, bit for bit equal to building each trajectory on its own,
+and validated once as one block.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _factor_draws(cfg, draw) -> np.ndarray:
+    """(4, n) factor draws, ``draw(rng)`` on each trajectory's own substream."""
+    return np.array([draw(_trajectory_rng(cfg.seed, i)) for i in range(cfg.n)]).T
+
+
 def distribution_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
     """Mean and scale curves of the Gaussian distribution design for the
     given factor draws; broadcasts over leading axes of the draws.
@@ -175,27 +181,18 @@ def distribution_trajectory(u, v, w, z, time_grid, m: int) -> ObjectTrajectory:
     return ObjectTrajectory(quantile_space(m), np.asarray(time_grid, float), values)
 
 
-def _sample_from_values(space, time_grid, values) -> ObjectSample:
-    return ObjectSample(tuple(ObjectTrajectory(space, time_grid, v) for v in values))
-
-
 def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
     with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
     W ~ sqrt(72) Unif(0, 1), Z ~ 3 Unif(0, 1)."""
-    draws = np.empty((4, cfg.n))
-    for i in range(cfg.n):
-        rng = _trajectory_rng(cfg.seed, i)
-        draws[:, i] = (
-            rng.normal() * np.sqrt(12.0),
-            rng.normal(),
-            np.sqrt(72.0) * rng.uniform(),
-            3.0 * rng.uniform(),
-        )
+    draws = _factor_draws(cfg, lambda rng: (
+        rng.normal() * np.sqrt(12.0), rng.normal(),
+        np.sqrt(72.0) * rng.uniform(), 3.0 * rng.uniform(),
+    ))
     grid = cfg.time_grid
     mu, sigma = distribution_curve_params(*draws, grid)
     values = _distribution_values(mu, sigma, quantile_probes(cfg.m))
-    return _sample_from_values(quantile_space(cfg.m), grid, values)
+    return ObjectSample._from_values(quantile_space(cfg.m), grid, values)
 
 
 def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -243,18 +240,12 @@ def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
 def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
     """Sample of two-community network trajectories with factor draws
     U ~ Unif(0, 0.4), V ~ Unif(0, 0.1), W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1)."""
-    draws = np.empty((4, cfg.n))
-    for i in range(cfg.n):
-        rng = _trajectory_rng(cfg.seed, i)
-        draws[:, i] = (
-            rng.uniform(0.0, 0.4),
-            rng.uniform(0.0, 0.1),
-            rng.uniform(0.0, 0.3),
-            rng.uniform(0.0, 0.1),
-        )
+    draws = _factor_draws(cfg, lambda rng: (
+        rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
+    ))
     grid = cfg.time_grid
     values = _network_values(*network_curve_params(*draws, grid))
-    return _sample_from_values(adjacency_space(NETWORK_NODES), grid, values)
+    return ObjectSample._from_values(adjacency_space(NETWORK_NODES), grid, values)
 
 
 def simulate(cfg) -> ObjectSample:
@@ -347,7 +338,6 @@ def mise_report(
     runs: int = 100,
     n_components: int = 3,
     truth_debug: bool = False,
-    threads: int = 1,
 ) -> dict:
     """Mean integrated squared errors over repeated simulation runs.
 
@@ -373,9 +363,11 @@ def mise_report(
         if truth_debug:
             est_values = true_surface
         else:
-            run_cfg = replace(cfg, seed=run_seed(cfg.seed, r))
-            sample = simulate(run_cfg)
-            est_values = estimate_cov_surface(sample, threads=threads).values
+            # the sample stays bound until the next run's is built, so the
+            # allocator reuses its memory instead of handing it back to the
+            # system with the surface's temporary, to be faulted in again
+            sample = simulate(replace(cfg, seed=run_seed(cfg.seed, r)))
+            est_values = estimate_cov_surface(sample).values
         est_surface = KernelSurface(truth.time_grid, est_values, w)
         es = eigendecompose(est_surface, k=n_components)
         ise_c += float(np.sum(w2 * (est_values - true_surface) ** 2))

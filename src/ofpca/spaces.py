@@ -115,8 +115,9 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
 
     ``block`` has shape (..., data_len).  Violations beyond
     ``ADMISSION_TOL`` raise InvalidObject; violations within it are
-    repaired in place (clamped onto the constraint set).  Returns the
-    admitted data.
+    repaired in a copy (clamped onto the constraint set).  Returns the
+    admitted data, sharing memory with ``block`` when nothing needed
+    repair.
     """
     block = np.asarray(block, dtype=float)
     if block.shape[-1] != space.data_len:
@@ -131,44 +132,45 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
         return block
 
     if space.tag == "quantile":
-        diffs = np.diff(block, axis=-1)
-        if block.shape[-1] > 1 and diffs.min(initial=0.0) < -ADMISSION_TOL:
-            raise InvalidObject("quantile vector is not non-decreasing")
-        if block.shape[-1] > 1 and diffs.min(initial=0.0) < 0.0:
+        if np.any(block[..., 1:] < block[..., :-1]):
+            if (block[..., :-1] - block[..., 1:]).max() > ADMISSION_TOL:
+                raise InvalidObject("quantile vector is not non-decreasing")
             block = np.maximum.accumulate(block, axis=-1)
         return block
 
     mats = _as_matrices(space, block)
-    asym = np.abs(mats - np.swapaxes(mats, -1, -2)).max()
-    if asym > ADMISSION_TOL:
-        raise InvalidObject(f"matrix not symmetric (max asymmetry {asym:.3g})")
-    repaired = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    trans = np.swapaxes(mats, -1, -2)
+    if not np.array_equal(mats, trans):
+        asym = np.abs(mats - trans).max()
+        if asym > ADMISSION_TOL:
+            raise InvalidObject(f"matrix not symmetric (max asymmetry {asym:.3g})")
+        mats = 0.5 * (mats + trans)
 
     if space.tag == "adjacency":
-        diag = np.abs(np.diagonal(repaired, axis1=-2, axis2=-1)).max()
+        diag = np.abs(np.diagonal(mats, axis1=-2, axis2=-1)).max()
         if diag > ADMISSION_TOL:
             raise InvalidObject(f"adjacency diagonal not zero (max {diag:.3g})")
-        lo, hi = repaired.min(), repaired.max()
+        lo, hi = mats.min(), mats.max()
         if lo < -ADMISSION_TOL or hi > 1.0 + ADMISSION_TOL:
             raise InvalidObject("adjacency entries outside [0, 1]")
-        idx = np.arange(space.dim)
-        repaired[..., idx, idx] = 0.0
-        repaired = np.clip(repaired, 0.0, 1.0)
-        return repaired.reshape(block.shape)
+        if diag > 0.0 or lo < 0.0 or hi > 1.0:
+            mats = np.clip(mats, 0.0, 1.0)
+            idx = np.arange(space.dim)
+            mats[..., idx, idx] = 0.0
+        return mats.reshape(block.shape)
 
     # sympsd: eigenvalues at least -ADMISSION_TOL; small dips re-projected
-    eigvals = np.linalg.eigvalsh(repaired)
-    min_eig = eigvals[..., 0].min()
-    if min_eig < -ADMISSION_TOL:
+    min_eigs = np.linalg.eigvalsh(mats)[..., 0]
+    if min_eigs.min() < -ADMISSION_TOL:
         raise InvalidObject(
-            f"matrix not positive semidefinite (min eigenvalue {min_eig:.3g})"
+            f"matrix not positive semidefinite (min eigenvalue {min_eigs.min():.3g})"
         )
-    if min_eig < 0.0:
-        vals, vecs = np.linalg.eigh(repaired)
-        vals = np.clip(vals, 0.0, None)
-        repaired = np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
-        repaired = 0.5 * (repaired + np.swapaxes(repaired, -1, -2))
-    return repaired.reshape(block.shape)
+    out = mats.reshape(block.shape)
+    dips = min_eigs < 0.0
+    if dips.any():
+        out = out.copy()
+        out[dips] = project_coordinates(space, out[dips])
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,12 +274,14 @@ def isotonic_projection(y: np.ndarray, weights: np.ndarray | None = None) -> np.
 
 
 def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
-    """Metric projection of a raw coordinate vector onto the space's
-    constraint set; returns coordinates.  Idempotent."""
+    """Metric projection of each raw coordinate vector in ``raw``
+    (..., data_len) onto the space's constraint set; returns coordinates
+    of the same shape.  Idempotent.  PAVA runs only on quantile vectors
+    that are not strictly increasing: it returns the others unchanged."""
     raw = np.asarray(raw, dtype=float)
-    if raw.shape != (space.data_len,):
+    if raw.ndim == 0 or raw.shape[-1] != space.data_len:
         raise InvalidObject(
-            f"expected raw vector of length {space.data_len}, got shape {raw.shape}"
+            f"expected raw vectors of length {space.data_len}, got shape {raw.shape}"
         )
     if not np.all(np.isfinite(raw)):
         raise InvalidObject("raw data contains non-finite values")
@@ -285,19 +289,24 @@ def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
     if space.tag == "scalar":
         return raw.copy()
     if space.tag == "quantile":
-        return isotonic_projection(raw)
+        out = raw.copy()
+        rows = out.reshape(-1, space.dim)
+        for i in np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1)):
+            rows[i] = isotonic_projection(rows[i])
+        return out
 
-    mat = raw.reshape(space.dim, space.dim)
-    sym = 0.5 * (mat + mat.T)
+    mats = _as_matrices(space, raw)
+    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
     if space.tag == "adjacency":
-        np.fill_diagonal(sym, 0.0)
-        return np.clip(sym, 0.0, 1.0).reshape(-1)
+        idx = np.arange(space.dim)
+        sym[..., idx, idx] = 0.0
+        return np.clip(sym, 0.0, 1.0).reshape(raw.shape)
 
     vals, vecs = np.linalg.eigh(sym)
     vals = np.clip(vals, 0.0, None)
-    psd = (vecs * vals) @ vecs.T
-    psd = 0.5 * (psd + psd.T)
-    return psd.reshape(-1)
+    psd = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    psd = 0.5 * (psd + np.swapaxes(psd, -1, -2))
+    return psd.reshape(raw.shape)
 
 
 def project(space: SpaceKind, raw: np.ndarray) -> ObjectPoint:

@@ -135,6 +135,25 @@ class TestFitCommand:
         assert 1 in artifact["skipped_components"]
         assert artifact["object_fpcs"][0][0] is None
 
+    def test_explained_fraction_trims_before_object_components(self, tmp_path):
+        # component 2 (sqrt(2) cos 2 pi t) integrates to zero; once the
+        # trim drops it, no warning may name it
+        grid = np.linspace(0, 1, 41)
+        phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
+        curves = [a + b * phi for a, b in zip((-3, -1, 1, 3), (1, -1, -1, 1))]
+        doc = {"space": "scalar", "dim": 1, "time_grid": list(grid),
+               "trajectories": [[[v] for v in c] for c in curves]}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "fit"
+        assert run(["fit", path, "--components", "2", "--explained-fraction", "0.5",
+                    "--out", out]) == 0
+        artifact = json.loads((out / "fit.json").read_text())
+        assert len(artifact["eigenvalues"]) == 1
+        assert artifact["status"] == "ok"
+        assert artifact["skipped_components"] == []
+        assert artifact["warnings"] == []
+
 
 class TestSimulateFitPipeline:
     def test_simulated_distribution_recovers_top_eigenvalue(self, tmp_path):

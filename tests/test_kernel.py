@@ -1,5 +1,7 @@
 """Auto-covariance U-statistic and related kernels against classical oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
+    OfpcaError,
     SpaceMismatch,
     TooFewTrajectories,
     adjacency_space,
@@ -411,3 +414,97 @@ class TestSurfaceInvariants:
         b = ObjectTrajectory(scalar_space(), np.array([0.0, 0.5]), np.zeros((2, 1)))
         with pytest.raises(InvalidObject):
             ObjectSample((a, b))
+
+
+ALL_SPACES = [scalar_space(), quantile_space(4), adjacency_space(3), sympsd_space(3)]
+
+
+def per_trajectory_sample(space, grid, values):
+    return ObjectSample(tuple(ObjectTrajectory(space, grid, v) for v in values))
+
+
+def nudged(space, values, size):
+    """``values`` with the first object of trajectory 1 moved off the
+    constraint set by about ``size``."""
+    out = values.copy()
+    if space.tag == "quantile":
+        out[1, 0, 1] = out[1, 0, 0] - size
+    elif space.tag == "adjacency":
+        out[1, 0, 1] += size
+    elif space.tag == "sympsd":
+        r = space.dim
+        out[1, 0] = np.diag(np.r_[-size, np.ones(r - 1)]).reshape(-1)
+    return out
+
+
+class TestSampleFromValues:
+    """ObjectSample._from_values validates an (n, T, L) array as one block
+    and must admit, repair and reject exactly as the per-trajectory
+    constructors do."""
+
+    @staticmethod
+    def cases(space):
+        rng = np.random.default_rng(8)
+        grid = np.linspace(0.0, 1.0, 5)
+        values = random_objects(space, rng, (4, 5))
+        L = space.data_len
+        cases = {
+            "one trajectory": (grid, values[:1]),
+            "repeated time": (np.array([0.0, 0.25, 0.25, 0.5, 1.0]), values),
+            "time outside [0, 1]": (grid + 0.5, values),
+            "wrong T": (grid[:4], values),
+            "wrong L": (grid, np.zeros((4, 5, L + 1))),
+            "non-finite": (grid, np.where(np.arange(L) == 0, np.nan, values)),
+        }
+        if space.tag != "scalar":  # every finite scalar is valid
+            cases["invalid object"] = (grid, nudged(space, values, 1e-3))
+        return cases
+
+    @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda sp: sp.tag)
+    def test_raises_like_constructors(self, space):
+        for name, (grid, values) in self.cases(space).items():
+            with pytest.raises(OfpcaError) as want:
+                per_trajectory_sample(space, grid, values)
+            with pytest.raises(OfpcaError) as got:
+                ObjectSample._from_values(space, grid, values.copy())
+            assert type(got.value) is type(want.value), name
+        with pytest.raises(InvalidObject):
+            ObjectSample._from_values(space, np.linspace(0.0, 1.0, 5), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda sp: sp.tag)
+    def test_repairs_like_constructors(self, space):
+        grid = np.linspace(0.0, 1.0, 5)
+        values = nudged(space, random_objects(space, np.random.default_rng(9), (4, 5)), 5e-11)
+        want = per_trajectory_sample(space, grid, values).stacked_values
+        got = ObjectSample._from_values(space, grid, values.copy())
+        assert got.stacked_values.tobytes() == want.tobytes()
+        assert space.tag == "scalar" or not np.array_equal(got.stacked_values, values)
+        assert got.n == 4 and got.space == space
+        assert not got.stacked_values.flags.writeable
+        assert np.array_equal(got.trajectories[1].values, want[1])
+
+    def test_constructor_leaves_caller_arrays_writeable(self):
+        values = np.zeros((3, 1))
+        tr = ObjectTrajectory(scalar_space(), np.linspace(0.0, 1.0, 3), values)
+        sample = ObjectSample((tr, tr))
+        assert values.flags.writeable
+        assert sample.trajectories == (tr, tr)
+        assert sample.stacked_values.shape == (2, 3, 1)
+
+    @pytest.mark.parametrize("space", [quantile_space(100), adjacency_space(10)],
+                             ids=lambda sp: sp.tag)
+    def test_sample_and_surface_build_one_sample_sized_temporary(self, space):
+        # validation through out-of-place temporaries would hold several
+        # arrays of the sample's size at once; the surface's centered
+        # (T, n, L) copy is the one such array either step needs
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(10), (100, 51))
+        tracemalloc.start()
+        try:
+            sample = ObjectSample._from_values(space, grid, values)
+            estimate_cov_surface(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.stacked_values.shape == (100, 51, space.data_len)
+        assert peak < 1.5 * values.nbytes

@@ -133,6 +133,54 @@ class TestProjection:
         assert np.allclose(out, [2.5, 2.5])
 
 
+def adversarial_raw(space, rng):
+    """(3, 8, L) raw vectors of ``space``: random ones beside feasible
+    ones, ties, and violations within and beyond the admission tolerance."""
+    L = space.data_len
+    rows = list(rng.normal(size=(12, L)) * 2.0)
+    if space.tag == "quantile":
+        rows += [
+            np.sort(rng.normal(size=L)),
+            np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0]),
+            np.full(L, 0.1),
+            np.array([0.0, 1.0, 1.0 - 5e-11, 2.0, 3.0, 4.0]),
+            np.array([0.0, 1.0, 0.5, 2.0, 1.9, 1.8]),
+            np.array([-1.0, 0.3, 0.3 - 1e-3, 0.3, 0.7, 5.0]),
+        ]
+    elif space.is_matrix:
+        r = space.dim
+        sym = rng.uniform(size=(r, r))
+        sym = 0.5 * (sym + sym.T)
+        psd = sym @ sym.T
+        tiny = sym.copy()
+        tiny[0, 1] += 5e-11
+        rows += [m.reshape(-1) for m in (sym, psd, tiny, -psd, psd - 0.5 * np.eye(r),
+                                         np.diag(np.r_[1.0, -5e-11, np.ones(r - 2)]))]
+    rows += list(rng.normal(size=(24 - len(rows), L)))
+    return np.stack(rows).reshape(3, 8, L)
+
+
+class TestBatchedProjection:
+    @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
+    def test_bit_equal_to_per_row(self, space):
+        raw = adversarial_raw(space, np.random.default_rng(5))
+        if space.tag == "quantile":
+            per_row = [isotonic_projection(row) for row in raw.reshape(-1, space.dim)]
+        else:
+            per_row = [project_coordinates(space, row) for row in raw.reshape(-1, space.data_len)]
+        want = np.stack(per_row).reshape(raw.shape)
+        got = project_coordinates(space, raw)
+        assert got.shape == raw.shape
+        assert got.tobytes() == want.tobytes()
+        assert project_coordinates(space, raw[1]).tobytes() == want[1].tobytes()
+
+    def test_rejects_wrong_length_and_scalars(self):
+        with pytest.raises(InvalidObject):
+            project_coordinates(quantile_space(3), np.zeros((2, 4)))
+        with pytest.raises(InvalidObject):
+            project_coordinates(scalar_space(), 1.0)
+
+
 class TestValidation:
     def test_rejects_non_monotone_quantile(self):
         with pytest.raises(InvalidObject):
