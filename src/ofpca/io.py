@@ -1,9 +1,12 @@
 """File formats: trajectory JSON, fit-artifact JSON, and plot CSVs.
 
-All floats are serialized with 17 significant digits so every value
-round-trips exactly, and the writers are deterministic byte for byte
-for a fixed input.  A trajectory file loads into one (n, T, L) array,
-validated once as a block.
+One rule formats every number written: `_numbers` renders an array of
+reals with 17 significant digits, so each float round-trips exactly and
+each integer below 2**53 prints as an integer; NaN or inf raises
+InvalidObject.  The writers are deterministic byte for byte for a fixed
+input.  A trajectory file loads into one (n, T, L) array, validated once
+as a block.  A fit artifact read back for `export-plots` has its plotted
+fields checked for type and shape; a malformed one is a SchemaError.
 """
 
 from __future__ import annotations
@@ -13,44 +16,48 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidObject, SchemaError
+from .eigen import explained_fraction
+from .errors import DegenerateSpectrum, InvalidObject, SchemaError
 from .kernel import ObjectSample
-from .spaces import SPACE_TAGS, SpaceKind, project_coordinates
+from .spaces import SPACE_TAGS, SpaceKind, project_coordinates, validate_block
+
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def _numbers(values, sep: str) -> str:
+    """The reals of the flat ``values`` with 17 significant digits, joined by ``sep``."""
+    arr = np.asarray(values, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise InvalidObject(f"cannot serialize non-finite float {float(arr[~finite][0])!r}")
+    return sep.join(map("{:.17g}".format, arr.tolist()))
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise InvalidObject(f"cannot serialize non-finite float {x!r}")
-    return f"{float(x):.17g}"
+    return _numbers([x], "")
 
 
 def _emit(obj: Any, parts: list[str], indent: int) -> None:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(pad + "  " + json.dumps(str(key)) + ": ")
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiu":
+        parts.append("[" + _numbers(obj, ", ") + "]")
+    elif isinstance(obj, (list, tuple, np.ndarray)) and all(isinstance(x, _NUMBER) for x in obj):
+        # a flat run, inline: bools one by one as true/false, numbers by the one rule
+        if any(isinstance(x, bool) for x in obj):
+            parts.append("[" + ", ".join(map(_scalar, obj)) + "]")
+        else:
+            parts.append("[" + _numbers(obj, ", ") + "]")
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)) and len(obj):
+        keyed = isinstance(obj, dict)
+        pad = " " * indent
+        parts.append("{" if keyed else "[")
+        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
+            parts.append(("," if i else "") + "\n" + pad + "  ")
+            if keyed:
+                parts.append(json.dumps(str(key)) + ": ")
             _emit(value, parts, indent + 2)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            parts.append("[]")
-            return
-        scalars = all(isinstance(x, (int, float, np.floating, np.integer)) for x in items)
-        if scalars:
-            parts.append("[" + ", ".join(_scalar(x) for x in items) + "]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(items):
-            parts.append(pad + "  ")
-            _emit(value, parts, indent + 2)
-            parts.append(",\n" if i < len(items) - 1 else "\n")
-        parts.append(pad + "]")
+        parts.append("\n" + pad + ("}" if keyed else "]"))
+    elif isinstance(obj, dict):
+        parts.append("{}")
     else:
         parts.append(_scalar(obj))
 
@@ -63,7 +70,7 @@ def _scalar(obj: Any) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InvalidObject(f"cannot serialize {type(obj).__name__}")
@@ -81,6 +88,18 @@ def write_json(obj: Any, path) -> None:
         fh.write(dumps(obj))
 
 
+def _read_json(path) -> dict:
+    """The top-level object of a JSON file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    return doc
+
+
 def _require(doc: dict, field: str, kind=None):
     if field not in doc:
         raise SchemaError("missing required field", field=field)
@@ -90,17 +109,31 @@ def _require(doc: dict, field: str, kind=None):
     return value
 
 
-def sample_to_dict(sample: ObjectSample) -> dict:
-    return {
-        "space": sample.space.tag,
-        "dim": sample.space.dim,
-        "time_grid": sample.time_grid,
-        "trajectories": sample.stacked_values,
-    }
+def _real_array(value, field: str, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; a "*" matches any length."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"non-numeric data: {exc}", field=field) from exc
+    if arr.ndim != len(shape) or any(w != g for w, g in zip(shape, arr.shape) if w != "*"):
+        want = ", ".join(map(str, shape))
+        raise SchemaError(f"expected shape ({want}), got {arr.shape}", field=field)
+    if not np.isfinite(arr).all():
+        raise SchemaError("values must be finite", field=field)
+    return arr
+
+
+def _time_grid(value) -> np.ndarray:
+    grid = _real_array(value, "time_grid", ("*",))
+    if grid.size < 2:
+        raise SchemaError("time_grid must be a flat list of at least 2 reals", field="time_grid")
+    return grid
 
 
 def save_trajectory_file(sample: ObjectSample, path) -> None:
-    write_json(sample_to_dict(sample), path)
+    doc = {"space": sample.space.tag, "dim": sample.space.dim,
+           "time_grid": sample.time_grid, "trajectories": sample.stacked_values}
+    write_json(doc, path)
 
 
 def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
@@ -110,49 +143,37 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     projected onto its space's constraint set, repairing invalid input
     instead of rejecting it.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-
+    doc = _read_json(path)
     tag = _require(doc, "space", str)
     if tag not in SPACE_TAGS:
         raise SchemaError(f"unknown space {tag!r}", field="space")
     dim = _require(doc, "dim", int)
     space = SpaceKind(tag, dim)
 
-    raw_grid = _require(doc, "time_grid", list)
-    grid = np.asarray(raw_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise SchemaError("time_grid must be a flat list of at least 2 reals", field="time_grid")
-
+    grid = _time_grid(_require(doc, "time_grid"))
     raw_trajs = _require(doc, "trajectories", list)
     if not raw_trajs:
         raise SchemaError("trajectories must be non-empty", field="trajectories")
     values = np.empty((len(raw_trajs), grid.size, space.data_len))
     for i, raw in enumerate(raw_trajs):
-        field = f"trajectories[{i}]"
-        try:
-            traj = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"non-numeric data: {exc}", field=field) from exc
-        if traj.shape != values.shape[1:]:
-            raise SchemaError(
-                f"expected shape ({grid.size}, {space.data_len}), got {traj.shape}",
-                field=field,
-            )
-        if not np.all(np.isfinite(traj)):
-            raise SchemaError("values must be finite", field=field)
-        values[i] = traj
+        values[i] = _real_array(raw, f"trajectories[{i}]", values.shape[1:])
     if project_on_load:
         values = project_coordinates(space, values)
     try:
         return ObjectSample._from_values(space, grid, values)
     except InvalidObject as exc:
-        raise SchemaError(str(exc), field="trajectories") from exc
+        raise SchemaError(str(exc), field=_rejected_field(space, values)) from exc
+
+
+def _rejected_field(space: SpaceKind, values: np.ndarray) -> str:
+    """The field that the block validation of a loaded sample rejected:
+    the first trajectory whose objects are invalid, else the time grid."""
+    for i, traj in enumerate(values):
+        try:
+            validate_block(space, traj)
+        except InvalidObject:
+            return f"trajectories[{i}]"
+    return "time_grid"
 
 
 def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> dict:
@@ -177,8 +198,7 @@ def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> 
     }
     components = fit.object_components
     if components is None:
-        doc["object_fpcs"] = None
-        doc["object_fpc_column_means"] = None
+        doc["object_fpcs"] = doc["object_fpc_column_means"] = None
     else:
         doc["object_fpcs"] = [
             [None if comps is None else comps[i] for comps in components]
@@ -195,76 +215,55 @@ def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> 
 
 
 def _explained_list(es) -> list:
-    from .eigen import explained_fraction
-    from .errors import DegenerateSpectrum
-
-    out = []
-    for j in range(1, es.num_retained + 1):
-        try:
-            out.append(explained_fraction(es, j))
-        except DegenerateSpectrum:
-            out.append(0.0)
-    return out
+    try:
+        return [explained_fraction(es, j) for j in range(1, es.num_retained + 1)]
+    except DegenerateSpectrum:
+        return [0.0] * es.num_retained
 
 
 def load_fit_artifact(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    """A fit artifact whose plotted fields are read as float arrays:
+    time_grid (T,), surface (T, T), eigenfunctions (K, T), scores (n, K)."""
+    doc = _read_json(path)
     for field in ("time_grid", "eigenvalues", "eigenfunctions", "scores", "surface"):
         _require(doc, field)
+    grid = doc["time_grid"] = _time_grid(doc["time_grid"])
+    doc["surface"] = _real_array(doc["surface"], "surface", (grid.size, grid.size))
+    funs = doc["eigenfunctions"] = _real_array(doc["eigenfunctions"], "eigenfunctions",
+                                               ("*", grid.size))
+    doc["scores"] = _real_array(doc["scores"], "scores", ("*", funs.shape[0]))
     return doc
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], table) -> None:
+    """``header``, then one line per row of the 2-d numeric ``table``."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(x) for x in row) + "\n")
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format_float(float(x))
-    return str(x)
-
-
-def surface_csv_rows(time_grid, values):
-    for a, s in enumerate(time_grid):
-        for b, t in enumerate(time_grid):
-            yield (s, t, values[a][b])
+        for row in np.asarray(table, dtype=float):
+            fh.write(_numbers(row, ",") + "\n")
 
 
 def write_surface_csv(path, time_grid, values) -> None:
-    write_csv(path, ["s", "t", "value"], surface_csv_rows(time_grid, values))
+    grid = np.asarray(time_grid, dtype=float)
+    T = grid.size
+    table = np.column_stack([np.repeat(grid, T), np.tile(grid, T), np.ravel(values)])
+    write_csv(path, ["s", "t", "value"], table)
 
 
 def write_eigenfunctions_csv(path, time_grid, eigenfunctions) -> None:
     funs = np.asarray(eigenfunctions, dtype=float)
     header = ["t"] + [f"phi{j + 1}" for j in range(funs.shape[0])]
-    rows = ([time_grid[k]] + list(funs[:, k]) for k in range(len(time_grid)))
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack([time_grid, funs.T]))
 
 
 def write_scores_csv(path, scores) -> None:
     scores = np.asarray(scores, dtype=float)
     header = ["i"] + [f"beta{j + 1}" for j in range(scores.shape[1])]
-    rows = ([i] + list(scores[i]) for i in range(scores.shape[0]))
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack([np.arange(scores.shape[0]), scores]))
 
 
 def write_mise_csv(path, rows: list[dict], n_components: int = 3) -> None:
-    header = (
-        ["n", "C"]
-        + [f"phi{j + 1}" for j in range(n_components)]
-        + [f"lambda{j + 1}" for j in range(n_components)]
-    )
-    table = (
-        [row["n"], row["mise_c"]] + list(row["mise_phi"]) + list(row["mise_lambda"])
-        for row in rows
-    )
-    write_csv(path, header, table)
+    header = ["n", "C"] + [f"{name}{j + 1}" for name in ("phi", "lambda")
+                           for j in range(n_components)]
+    keys = ("n", "mise_c", "mise_phi", "mise_lambda")
+    write_csv(path, header, np.column_stack([[row[key] for row in rows] for key in keys]))

@@ -220,14 +220,10 @@ def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int
     )
 
 
-def estimate_cov_surface(sample: ObjectSample, threads: int = 1) -> KernelSurface:
+def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
     """U-statistic estimate of the metric auto-covariance surface, computed
     as the centered cross-covariance of the scaled coordinates (see the
-    module docstring).
-
-    ``threads`` is accepted for compatibility and ignored: the result
-    does not depend on it.
-    """
+    module docstring)."""
     n, T, L = sample.stacked_values.shape
     # the one sample-sized temporary: the coordinates as (T, n, L), centered
     X = sample.stacked_values.transpose(1, 0, 2).copy()

@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidObject
+from .errors import BadRank, InvalidObject
 from .kernel import (
     KernelSurface,
     ObjectSample,
@@ -349,10 +349,14 @@ def mise_report(
     must drive every error to ~0.
 
     Returns a dict with keys ``n``, ``runs``, ``mise_c``, ``mise_phi``
-    (length ``n_components``), and ``mise_lambda``.
+    (length ``n_components``, at most the design's rank), and
+    ``mise_lambda``.
     """
     if runs < 1:
         raise InvalidObject("runs must be >= 1")
+    rank = truth.eigenvalues.size
+    if not 1 <= n_components <= rank:
+        raise BadRank(f"components must be in [1, {rank}] (the design's rank), got {n_components}")
     w = truth.quad_weights
     w2 = np.outer(w, w)
     true_surface = truth.surface()

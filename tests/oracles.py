@@ -2,16 +2,20 @@
 
 Nothing here imports the estimator paths it is meant to check: the
 classical covariance is computed by centering, the lattice search by
-enumeration, and quadrature by numpy's trapezoid.
+enumeration, quadrature by numpy's trapezoid, and file bytes by the
+per-scalar writer that the vectorised one replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 from scipy.linalg import eigh as scipy_eigh
 from scipy.special import ndtri
+
+from ofpca.errors import InvalidObject
 
 
 def classical_cross_covariance(X: np.ndarray) -> np.ndarray:
@@ -103,3 +107,116 @@ def mc_pair_kernel_mean(draw_pair_d2, n_draws: int, rng) -> tuple[float, float]:
     d2_cross_a, d2_cross_b, d2_self_a, d2_self_b = draw_pair_d2(rng, n_draws)
     vals = 0.25 * (d2_cross_a + d2_cross_b - d2_self_a - d2_self_b)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_draws))
+
+
+# Reference writer: the per-scalar formatter that `ofpca.io` used before
+# its writers were vectorised, kept verbatim so that the fast writer can
+# be checked byte for byte against it.
+
+
+def reference_format_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise InvalidObject(f"cannot serialize non-finite float {x!r}")
+    return f"{float(x):.17g}"
+
+
+def _reference_emit(obj, parts: list[str], indent: int) -> None:
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(pad + "  " + json.dumps(str(key)) + ": ")
+            _reference_emit(value, parts, indent + 2)
+            parts.append(",\n" if i < len(obj) - 1 else "\n")
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj)
+        if not items:
+            parts.append("[]")
+            return
+        scalars = all(isinstance(x, (int, float, np.floating, np.integer)) for x in items)
+        if scalars:
+            parts.append("[" + ", ".join(_reference_scalar(x) for x in items) + "]")
+            return
+        parts.append("[\n")
+        for i, value in enumerate(items):
+            parts.append(pad + "  ")
+            _reference_emit(value, parts, indent + 2)
+            parts.append(",\n" if i < len(items) - 1 else "\n")
+        parts.append(pad + "]")
+    else:
+        parts.append(_reference_scalar(obj))
+
+
+def _reference_scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise InvalidObject(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    parts: list[str] = []
+    _reference_emit(obj, parts, 0)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _reference_csv_cell(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return reference_format_float(float(x))
+    return str(x)
+
+
+def reference_csv(header: list[str], rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_reference_csv_cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_surface_csv(time_grid, values) -> str:
+    rows = (
+        (s, t, values[a][b])
+        for a, s in enumerate(time_grid)
+        for b, t in enumerate(time_grid)
+    )
+    return reference_csv(["s", "t", "value"], rows)
+
+
+def reference_eigenfunctions_csv(time_grid, eigenfunctions) -> str:
+    funs = np.asarray(eigenfunctions, dtype=float)
+    header = ["t"] + [f"phi{j + 1}" for j in range(funs.shape[0])]
+    rows = ([time_grid[k]] + list(funs[:, k]) for k in range(len(time_grid)))
+    return reference_csv(header, rows)
+
+
+def reference_scores_csv(scores) -> str:
+    scores = np.asarray(scores, dtype=float)
+    header = ["i"] + [f"beta{j + 1}" for j in range(scores.shape[1])]
+    rows = ([i] + list(scores[i]) for i in range(scores.shape[0]))
+    return reference_csv(header, rows)
+
+
+def reference_mise_csv(rows: list[dict], n_components: int = 3) -> str:
+    header = (
+        ["n", "C"]
+        + [f"phi{j + 1}" for j in range(n_components)]
+        + [f"lambda{j + 1}" for j in range(n_components)]
+    )
+    table = (
+        [row["n"], row["mise_c"]] + list(row["mise_phi"]) + list(row["mise_lambda"])
+        for row in rows
+    )
+    return reference_csv(header, table)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import ofpca
 from ofpca.cli import main
@@ -199,6 +200,13 @@ class TestMiseCommand:
         assert run(["mise", "--design", "dist", "--n", "a,b", "--runs", "1",
                     "--out", tmp_path / "x.csv"]) == 2
 
+    def test_components_beyond_design_rank_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mise.csv"
+        assert run(["mise", "--design", "net", "--n", "6", "--runs", "1", "--T", "9",
+                    "--components", "4", "--out", out]) == 2
+        assert "rank" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExportPlots:
     def test_re_emits_csvs(self, tmp_path):
@@ -209,6 +217,30 @@ class TestExportPlots:
         assert run(["export-plots", fit_dir / "fit.json", "--out", export_dir]) == 0
         for name in ("surface.csv", "eigenfunctions.csv", "scores.csv"):
             assert (fit_dir / name).read_bytes() == (export_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("scores", [1.0, 2.0]),
+        ("surface", [[1.0, 2.0], [2.0, 4.0]]),
+        ("time_grid", "abc"),
+    ])
+    def test_malformed_artifact_exits_2(self, tmp_path, capsys, field, value):
+        fit_dir = tmp_path / "fit"
+        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
+                    "--out", fit_dir]) == 0
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        export_dir = tmp_path / "plots"
+        assert run(["export-plots", bad, "--out", export_dir]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not export_dir.exists()
+
+    def test_non_object_artifact_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert run(["export-plots", bad, "--out", tmp_path / "plots"]) == 2
+        assert not (tmp_path / "plots").exists()
 
 
 class TestThreadEnv:

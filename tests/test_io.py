@@ -71,7 +71,28 @@ class TestTrajectoryFile:
         doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 1.0],
                "trajectories": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]}
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="non-decreasing"):
+        with pytest.raises(SchemaError, match=r"trajectories\[0\]: .*non-decreasing"):
+            ofio.load_trajectory_file(path)
+
+    def test_later_invalid_object_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 1.0],
+               "trajectories": [[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]],
+                                [[0.0, 1.0], [1.0, 0.0]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"trajectories\[2\]: .*non-decreasing"):
+            ofio.load_trajectory_file(path)
+
+    def test_bad_time_grid_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 0.6, 0.5],
+               "trajectories": [[[0.0], [1.0], [2.0]], [[1.0], [1.0], [0.0]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="time_grid: .*increasing"):
+            ofio.load_trajectory_file(path)
+        doc["time_grid"] = ["a", "b", "c"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="time_grid: non-numeric"):
             ofio.load_trajectory_file(path)
 
     def test_project_on_load_repairs(self, tmp_path):
@@ -131,3 +152,137 @@ class TestCsv:
         path = tmp_path / "scores.csv"
         ofio.write_scores_csv(path, np.zeros((2, 3)))
         assert path.read_text().splitlines()[0] == "i,beta1,beta2,beta3"
+
+
+# Values at the edges of the 17-significant-digit rule.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 12.0, -3.0,
+               2.0**52, 2.0**53, np.nextafter(1.0, 2.0), 0.1, 1.0 / 3.0, 1.7976931348623157e308]
+EDGE_INTS = [0, 1, -7, 2**31, 2**53 - 1, 2**53, -(2**53)]
+
+
+def random_doubles(n, seed=0):
+    """Finite doubles drawn uniformly over bit patterns, so every exponent
+    and subnormals occur."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=4 * n, dtype=np.uint64)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)][:n]
+
+
+class TestWriterMatchesReference:
+    """The vectorised writer against the per-scalar formatter it replaced
+    (`oracles.reference_*`), byte for byte."""
+
+    JSON_CASES = {
+        "float list": EDGE_FLOATS,
+        "float array": np.array(EDGE_FLOATS),
+        "float32 array": np.array(EDGE_FLOATS[:4] + [0.1, 3.0], dtype=np.float32),
+        "int list": EDGE_INTS,
+        "int array": np.array(EDGE_INTS),
+        "mixed numbers": EDGE_FLOATS + EDGE_INTS,
+        "numpy scalars": [np.float64(0.1), np.int64(2**53), np.float32(0.5), np.int32(-4)],
+        "tuple": (1.5, 2, -0.0),
+        "bools": [True, False],
+        "bools with numbers": [True, 1.5, 2],
+        "with None": [1.5, 2, None],
+        "empty list": [],
+        "empty array": np.empty(0),
+        "(2, 0) array": np.empty((2, 0)),
+        "(0, 3) array": np.empty((0, 3)),
+        "strings": ["a", "b\"c", "é"],
+        "scalars": {"neg_zero": -0.0, "tiny": 5e-324, "int": 2**53, "flag": True,
+                    "none": None, "np": np.float64(1e-300), "np_int": np.int64(7),
+                    "text": "x", "empty": {}},
+        "3-d array": random_doubles(60).reshape(3, 4, 5),
+        "random doubles": random_doubles(2000, seed=1),
+        "object_fpcs": {
+            "object_fpcs": [[None, np.array([0.5, -0.0])], [np.array([1e300, 2.0]), None]],
+            "object_fpc_column_means": [None, np.array([1.0, 5e-324])],
+            "skipped_components": [1],
+            "explained_fractions": [0.75, 0.25],
+            "warnings": ["component 1: eigenfunction integral ~ 0"],
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(JSON_CASES))
+    def test_dumps(self, name):
+        from oracles import reference_dumps
+
+        obj = self.JSON_CASES[name]
+        assert ofio.dumps(obj) == reference_dumps(obj)
+
+    def test_fit_dict(self):
+        from ofpca import fit_fpca
+        from oracles import reference_dumps
+
+        sample = small_sample()
+        doc = ofio.fit_to_dict(fit_fpca(sample, n_components=2), sample.space)
+        assert ofio.dumps(doc) == reference_dumps(doc)
+
+    @staticmethod
+    def _written(tmp_path, write, *args):
+        path = tmp_path / "out.csv"
+        write(path, *args)
+        return path.read_text()
+
+    def test_surface_csv(self, tmp_path):
+        from oracles import reference_surface_csv
+
+        grid = np.array([0.0, 1e-300, 0.5, 1.0])
+        values = random_doubles(16, seed=2).reshape(4, 4)
+        values[0, :3] = [-0.0, 5e-324, 12.0]
+        want = reference_surface_csv(grid, values)
+        assert self._written(tmp_path, ofio.write_surface_csv, grid, values) == want
+        # as read back from fit.json: lists, with integers where a value prints as one
+        loaded = json.loads(ofio.dumps({"g": grid, "v": values}))
+        want = reference_surface_csv(loaded["g"], loaded["v"])
+        assert self._written(tmp_path, ofio.write_surface_csv, loaded["g"], loaded["v"]) == want
+
+    def test_eigenfunctions_csv(self, tmp_path):
+        from oracles import reference_eigenfunctions_csv
+
+        grid = np.linspace(0.0, 1.0, 5)
+        funs = random_doubles(15, seed=3).reshape(3, 5)
+        funs[1] = [-0.0, 2.0**53, 1e-300, -1e300, np.nextafter(1.0, 2.0)]
+        want = reference_eigenfunctions_csv(grid, funs)
+        assert self._written(tmp_path, ofio.write_eigenfunctions_csv, grid, funs) == want
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 1), (3, 0)])
+    def test_scores_csv(self, tmp_path, shape):
+        from oracles import reference_scores_csv
+
+        scores = random_doubles(int(np.prod(shape)), seed=4).reshape(shape)
+        want = reference_scores_csv(scores)
+        assert self._written(tmp_path, ofio.write_scores_csv, scores) == want
+
+    def test_mise_csv(self, tmp_path):
+        from oracles import reference_mise_csv
+
+        rows = [
+            {"n": 25, "runs": 3, "mise_c": 1e-300, "mise_phi": np.array([0.5, -0.0, 5e-324]),
+             "mise_lambda": np.array([12.0, 2.0**53, np.nextafter(1.0, 2.0)])},
+            {"n": 2**53, "runs": 3, "mise_c": 0.1, "mise_phi": random_doubles(3, seed=5),
+             "mise_lambda": np.zeros(3)},
+        ]
+        want = reference_mise_csv(rows, n_components=3)
+        assert self._written(tmp_path, ofio.write_mise_csv, rows, 3) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, tmp_path, bad):
+        from ofpca import InvalidObject
+
+        row = np.array([1.0, 2.0, 3.0, bad])
+        for obj in (row, row.tolist(), {"a": [0.5, {"b": row[::-1].reshape(2, 2)}]}, bad):
+            with pytest.raises(InvalidObject, match="non-finite"):
+                ofio.dumps(obj)
+        grid = np.array([0.0, 0.5, 1.0, 1.0])
+        writers = [
+            (ofio.write_surface_csv, grid[:2], row.reshape(2, 2)),
+            (ofio.write_surface_csv, np.array([0.0, bad]), np.eye(2)),
+            (ofio.write_eigenfunctions_csv, grid, row[None, ::-1]),
+            (ofio.write_scores_csv, row.reshape(2, 2)),
+            (ofio.write_mise_csv, [{"n": 5, "mise_c": 1.0, "mise_phi": row[:1],
+                                    "mise_lambda": row[3:]}], 1),
+        ]
+        for write, *args in writers:
+            with pytest.raises(InvalidObject, match="non-finite"):
+                write(tmp_path / "out.csv", *args)

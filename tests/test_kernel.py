@@ -210,13 +210,6 @@ class TestCovSurface:
         got = estimate_cov_surface(scalar_sample(X)).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_threads_do_not_change_bytes(self):
-        rng = np.random.default_rng(12)
-        sample = scalar_sample(rng.normal(size=(20, 10)))
-        one = estimate_cov_surface(sample, threads=1).values
-        four = estimate_cov_surface(sample, threads=4).values
-        assert np.array_equal(one, four)
-
     def test_quad_weights_sum_to_range(self):
         grid = np.array([0.0, 0.1, 0.4, 1.0])
         w = trapezoid_weights(grid)
