@@ -5,7 +5,9 @@ pure given its input file, flags, and seed: re-running writes identical
 bytes, and the worker-thread count never changes results.
 
 Exit codes: 0 success (including partial fits, which set a status
-field), 2 input or schema error, 3 internal numeric error.
+field), 2 input or schema error, 3 internal numeric error.  Flags are
+checked by the library calls that use them (``--components`` outside
+[1, T] and ``--explained-fraction`` outside (0, 1] exit 2).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .fpca import fit_fpca
 from .sim import (
     DistributionSimConfig,
     NetworkSimConfig,
-    SimulationTruth,
     mise_report,
     simulate,
 )
@@ -68,7 +69,7 @@ def _add_common_fit_args(parser):
                         help="number of eigencomponents to retain (default 4)")
     parser.add_argument("--explained-fraction", type=float, default=None, metavar="F",
                         help="keep the smallest K whose cumulative explained "
-                             "fraction reaches F (capped by --components)")
+                             "fraction reaches F, in (0, 1] (capped by --components)")
     parser.add_argument("--clip-negative-eigenvalues", action="store_true",
                         help="zero out negative eigenvalues in the output")
     parser.add_argument("--fpc-objects", action="store_true", default=True,
@@ -139,29 +140,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _select_components(sample, args):
-    k = args.components
-    if k < 1:
-        raise BadRank("--components must be >= 1")
-    T = sample.time_grid.size
-    if k > T:
-        raise BadRank(f"--components {k} exceeds the grid size {T}")
-    return k
-
-
 def _run_fit(args, fpc_objects):
     sample = io.load_trajectory_file(args.input, project_on_load=args.project_on_load)
     if args.space is not None and sample.space.tag != args.space:
         raise SchemaError(
             f"file holds {sample.space.tag!r} objects, --space says {args.space!r}"
         )
-    k = _select_components(sample, args)
     _check_threads(args.threads)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = fit_fpca(
             sample,
-            n_components=k,
+            n_components=args.components,
             clip_negative=args.clip_negative_eigenvalues,
             fpc_objects=fpc_objects,
             explained_fraction=args.explained_fraction,
@@ -202,10 +192,8 @@ def cmd_mise(args) -> int:
     _check_threads(args.threads)
     rows = []
     for n in n_list:
-        cfg = _make_config(args, n)
-        truth = SimulationTruth.for_config(cfg)
-        rows.append(mise_report(cfg, truth, runs=args.runs, n_components=args.components,
-                                truth_debug=args.truth_debug))
+        rows.append(mise_report(_make_config(args, n), runs=args.runs,
+                                n_components=args.components, truth_debug=args.truth_debug))
     io.write_mise_csv(args.out, rows, n_components=args.components)
     print(f"wrote {args.out}")
     return 0

@@ -6,6 +6,10 @@ symmetric problem B = W^{1/2} C W^{1/2} is solved densely and the
 eigenvectors mapped back through W^{-1/2}, which makes the
 eigenfunctions orthonormal in the quadrature L2 inner product and the
 eigenvalues consistent with the continuum operator as the grid refines.
+
+A known truth is an ``EigenSystem`` too (``sim.true_eigensystem``).
+Explained fractions divide by the clipped sum of all T eigenvalues, so
+they do not depend on how many are retained.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ class EigenSystem:
     convention: its quadrature integral is nonnegative, and if that
     integral is numerically zero, the first entry exceeding 1e-9 in
     absolute value is positive.  ``n_negative`` counts eigenvalues that
-    were negative before any clipping.
+    were negative before any clipping.  ``spectrum_total`` is the clipped
+    sum of the whole spectrum; left out, it is that of the retained
+    eigenvalues, as for a truth with no other components.
     """
 
     eigenvalues: np.ndarray
@@ -41,6 +47,7 @@ class EigenSystem:
     quad_weights: np.ndarray
     n_negative: int = 0
     clipped: bool = False
+    spectrum_total: float | None = None
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float)
@@ -56,6 +63,8 @@ class EigenSystem:
         gram = (funs * w) @ funs.T
         if np.abs(gram - np.eye(vals.size)).max() > 1e-8:
             raise InvalidSurface("eigenfunctions are not quadrature-orthonormal")
+        if self.spectrum_total is None:
+            object.__setattr__(self, "spectrum_total", float(np.clip(vals, 0.0, None).sum()))
         for arr in (vals, funs, t, w):
             arr.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -94,7 +103,8 @@ def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenS
     Parameters
     ----------
     surface : KernelSurface
-        Symmetric kernel with positive quadrature weights.
+        Kernel with positive quadrature weights; its construction has
+        already checked that it is symmetric.
     k : int
         Number of components to retain; at most T.
     clip : bool
@@ -106,23 +116,20 @@ def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenS
     ------
     BadRank
         If k exceeds the grid size (or k < 1).
-    InvalidSurface
-        If the surface values are not symmetric.
     """
     T = surface.n_times
     if not (1 <= k <= T):
         raise BadRank(f"k must be in [1, {T}], got {k}")
-    values = surface.values
-    if np.abs(values - values.T).max() > 1e-12:
-        raise InvalidSurface("surface is not symmetric")
 
     w = surface.quad_weights
     sqrt_w = np.sqrt(w)
-    b = sqrt_w[:, None] * values * sqrt_w[None, :]
+    b = sqrt_w[:, None] * surface.values * sqrt_w[None, :]
     b = 0.5 * (b + b.T)
     vals, vecs = np.linalg.eigh(b)
     order = np.argsort(vals)[::-1]
-    vals = vals[order][:k]
+    vals = vals[order]
+    spectrum_total = float(np.clip(vals, 0.0, None).sum())
+    vals = vals[:k]
     funs = (vecs[:, order[:k]] / sqrt_w[:, None]).T
 
     norms = np.sqrt((funs * funs) @ w)
@@ -132,22 +139,23 @@ def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenS
     n_negative = int(np.sum(vals < 0.0))
     if clip:
         vals = np.clip(vals, 0.0, None)
-    return EigenSystem(vals, funs, surface.time_grid, w, n_negative, bool(clip))
+    return EigenSystem(vals, funs, surface.time_grid, w, n_negative, bool(clip), spectrum_total)
 
 
 def explained_fraction(es: EigenSystem, j: int) -> float:
-    """Fraction of (clipped) total variance carried by component j (1-based).
+    """Fraction of the (clipped) whole spectrum carried by component j
+    (1-based).
 
     Negative eigenvalues are clipped to zero in both the numerator and
-    the total, so the fractions of the nonnegative components sum to 1.
+    ``es.spectrum_total``, so the fractions of all nonnegative components,
+    retained or not, sum to 1, and a component's fraction does not depend
+    on how many components were retained.
     """
     if not (1 <= j <= es.num_retained):
         raise BadRank(f"component {j} not retained (K={es.num_retained})")
-    clipped = np.clip(es.eigenvalues, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
+    if es.spectrum_total <= 0.0:
         raise DegenerateSpectrum("all clipped eigenvalues are zero")
-    return float(clipped[j - 1] / total)
+    return float(np.clip(es.eigenvalues[j - 1], 0.0, None) / es.spectrum_total)
 
 
 def reconstruct(es: EigenSystem) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import EigenSystem, eigendecompose
-from .errors import BadWeights, EmptyInput, NonIntegrableEigenfunction
+from .errors import BadRank, BadWeights, EmptyInput, NonIntegrableEigenfunction
 from .kernel import (
     KernelSurface,
     ObjectSample,
@@ -173,12 +173,11 @@ class FpcaFit:
 
 def _leading_components(es: EigenSystem, fraction: float) -> EigenSystem:
     """The smallest leading block of ``es`` whose cumulative explained
-    fraction (of the clipped spectrum) reaches ``fraction``."""
-    clipped = np.clip(es.eigenvalues, 0.0, None)
-    total = clipped.sum()
-    if total <= 0:
+    fraction (of the clipped whole spectrum) reaches ``fraction``."""
+    if es.spectrum_total <= 0:
         return es
-    keep = int(np.searchsorted(np.cumsum(clipped) / total, fraction - 1e-12) + 1)
+    cumulative = np.cumsum(np.clip(es.eigenvalues, 0.0, None)) / es.spectrum_total
+    keep = int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
     if keep >= es.num_retained:
         return es
     kept = es.eigenvalues[:keep]
@@ -201,8 +200,11 @@ def fit_fpca(
     cumulative explained fraction reaches it, before object components
     are computed from it.  Components whose eigenfunction integrates to
     numerically zero are skipped for object components (with a warning)
-    but keep their score column.
+    but keep their score column.  An ``explained_fraction`` outside
+    (0, 1] raises ``BadRank``.
     """
+    if explained_fraction is not None and not 0.0 < explained_fraction <= 1.0:
+        raise BadRank(f"explained fraction must be in (0, 1], got {explained_fraction}")
     surface = estimate_cov_surface(sample)
     es = eigendecompose(surface, k=n_components, clip=clip_negative)
     mean = frechet_mean_trajectory(sample)

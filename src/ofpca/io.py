@@ -104,7 +104,8 @@ def _require(doc: dict, field: str, kind=None):
     if field not in doc:
         raise SchemaError("missing required field", field=field)
     value = doc[field]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true is not a dimension
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
     return value
 

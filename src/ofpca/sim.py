@@ -1,9 +1,11 @@
 """Simulation designs for distribution-valued and network-valued curves,
-their true eigenstructures, and the Monte-Carlo error harness.
+their true eigensystems, and the Monte-Carlo error harness.
 
 Both designs draw four independent factors per trajectory and mix them
 through fixed polynomial directions, so the population auto-covariance
 is a known rank-3 kernel and estimation error can be measured exactly.
+``true_eigensystem(cfg)`` returns that kernel as an ``EigenSystem`` on
+the config's grid, and ``mise_report`` measures against it.
 Random numbers come from counter-based Philox streams with one
 substream per trajectory, so enlarging a sample extends it without
 reshuffling earlier trajectories.  Only the factor draws are made per
@@ -28,7 +30,7 @@ from .kernel import (
     estimate_cov_surface,
     trapezoid_weights,
 )
-from .eigen import eigendecompose
+from .eigen import EigenSystem, eigendecompose, reconstruct
 from .spaces import adjacency_space, quantile_space
 
 NETWORK_NODES = 10
@@ -270,61 +272,28 @@ def quadrature_orthonormalize(rows: np.ndarray, quad_weights: np.ndarray) -> np.
     return rows
 
 
-@dataclass(frozen=True)
-class SimulationTruth:
-    """True eigenstructure of a design, sampled on a grid.
+def true_eigensystem(cfg) -> EigenSystem:
+    """The design's population eigensystem on the config's time grid.
 
-    Eigenfunctions are the design's closed-form directions
+    The eigenfunctions are the design's closed-form directions
     re-orthonormalized under the grid's trapezoid quadrature (the raw
     printed constants are rounded, so the raw directions are orthonormal
-    only to about 5e-4)."""
-
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    time_grid: np.ndarray
-    quad_weights: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        funs = np.array(self.eigenfunctions, dtype=float)
-        t = np.array(self.time_grid, dtype=float)
-        w = np.array(self.quad_weights, dtype=float)
-        gram = (funs * w) @ funs.T
-        if np.abs(gram - np.eye(funs.shape[0])).max() > 1e-6:
-            raise InvalidObject("truth eigenfunctions are not quadrature-orthonormal")
-        for arr in (vals, funs, t, w):
-            arr.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenfunctions", funs)
-        object.__setattr__(self, "time_grid", t)
-        object.__setattr__(self, "quad_weights", w)
-
-    def surface(self) -> np.ndarray:
-        """The rank-K true covariance surface on the grid."""
-        return (self.eigenfunctions.T * self.eigenvalues) @ self.eigenfunctions
-
-    @classmethod
-    def for_distributions(cls, time_grid) -> "SimulationTruth":
-        t = np.asarray(time_grid, dtype=float)
-        w = trapezoid_weights(t)
-        basis = quadrature_orthonormalize(distribution_sim_basis(t), w)
-        return cls(np.array(DISTRIBUTION_EIGENVALUES), basis, t, w)
-
-    @classmethod
-    def for_networks(cls, time_grid) -> "SimulationTruth":
-        t = np.asarray(time_grid, dtype=float)
-        w = trapezoid_weights(t)
-        basis = np.stack([network_sim_basis(j, t) for j in (1, 2, 3)])
-        basis = quadrature_orthonormalize(basis, w)
-        return cls(np.array(NETWORK_EIGENVALUES), basis, t, w)
-
-    @classmethod
-    def for_config(cls, cfg) -> "SimulationTruth":
-        if isinstance(cfg, DistributionSimConfig):
-            return cls.for_distributions(cfg.time_grid)
-        if isinstance(cfg, NetworkSimConfig):
-            return cls.for_networks(cfg.time_grid)
+    only to about 5e-4).  Raises ``InvalidObject`` for an unknown config,
+    or on a grid too coarse for the directions to be orthonormal within
+    1e-6: the network directions vanish at both ends, so T = 3 and 4 are.
+    """
+    if isinstance(cfg, DistributionSimConfig):
+        vals, basis = DISTRIBUTION_EIGENVALUES, distribution_sim_basis(cfg.time_grid)
+    elif isinstance(cfg, NetworkSimConfig):
+        vals = NETWORK_EIGENVALUES
+        basis = np.stack([network_sim_basis(j, cfg.time_grid) for j in (1, 2, 3)])
+    else:
         raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
+    w = trapezoid_weights(cfg.time_grid)
+    funs = quadrature_orthonormalize(basis, w)
+    if not np.abs((funs * w) @ funs.T - np.eye(len(vals))).max() <= 1e-6:
+        raise InvalidObject("truth eigenfunctions are not quadrature-orthonormal")
+    return EigenSystem(np.array(vals), funs, cfg.time_grid, w)
 
 
 def run_seed(seed: int, run_index: int) -> int:
@@ -334,12 +303,12 @@ def run_seed(seed: int, run_index: int) -> int:
 
 def mise_report(
     cfg,
-    truth: SimulationTruth,
     runs: int = 100,
     n_components: int = 3,
     truth_debug: bool = False,
 ) -> dict:
-    """Mean integrated squared errors over repeated simulation runs.
+    """Mean integrated squared errors over repeated simulation runs,
+    measured against ``true_eigensystem(cfg)``.
 
     Per run: simulate, estimate the covariance surface, eigendecompose,
     then accumulate the squared quadrature-L2 errors of the surface, of
@@ -354,27 +323,28 @@ def mise_report(
     """
     if runs < 1:
         raise InvalidObject("runs must be >= 1")
-    rank = truth.eigenvalues.size
+    truth = true_eigensystem(cfg)
+    rank = truth.num_retained
     if not 1 <= n_components <= rank:
         raise BadRank(f"components must be in [1, {rank}] (the design's rank), got {n_components}")
     w = truth.quad_weights
     w2 = np.outer(w, w)
-    true_surface = truth.surface()
+    true_surface = reconstruct(truth)
+    debug_surface = KernelSurface(truth.time_grid, true_surface, w) if truth_debug else None
     ise_c = 0.0
     ise_phi = np.zeros(n_components)
     se_lambda = np.zeros(n_components)
     for r in range(runs):
         if truth_debug:
-            est_values = true_surface
+            surface = debug_surface
         else:
             # the sample stays bound until the next run's is built, so the
             # allocator reuses its memory instead of handing it back to the
             # system with the surface's temporary, to be faulted in again
             sample = simulate(replace(cfg, seed=run_seed(cfg.seed, r)))
-            est_values = estimate_cov_surface(sample).values
-        est_surface = KernelSurface(truth.time_grid, est_values, w)
-        es = eigendecompose(est_surface, k=n_components)
-        ise_c += float(np.sum(w2 * (est_values - true_surface) ** 2))
+            surface = estimate_cov_surface(sample)
+        es = eigendecompose(surface, k=n_components)
+        ise_c += float(np.sum(w2 * (surface.values - true_surface) ** 2))
         for j in range(n_components):
             phi_hat = es.eigenfunctions[j]
             phi_true = truth.eigenfunctions[j]
@@ -404,10 +374,9 @@ def network_population_eigenvalue(
     adjacency matrices on a subsample before being trusted for the bulk
     of the draws.
     """
-    grid = np.linspace(0.0, 1.0, n_times)
-    w = trapezoid_weights(grid)
-    truth = SimulationTruth.for_networks(grid)
-    g = w * truth.eigenfunctions[j - 1]
+    truth = true_eigensystem(NetworkSimConfig(n=2, n_times=n_times))
+    grid = truth.time_grid
+    g = truth.quad_weights * truth.eigenfunctions[j - 1]
     g_total = g.sum()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 

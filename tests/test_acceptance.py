@@ -18,7 +18,6 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
-    SimulationTruth,
     eigendecompose,
     estimate_cov_surface,
     frechet_scores,
@@ -97,11 +96,10 @@ def test_criterion_2_distribution_eigenstructure(capsys):
 def test_criterion_3_distribution_mise_table(capsys):
     start = time.time()
     targets = {25: 12.27, 50: 8.66, 100: 4.07}
-    truth = SimulationTruth.for_distributions(np.linspace(0, 1, 51))
     mise, mise_lam = {}, {}
     for n in (25, 50, 100):
         cfg = DistributionSimConfig(n=n, n_times=51, m=100, seed=52_000)
-        row = mise_report(cfg, truth, runs=100)
+        row = mise_report(cfg, runs=100)
         mise[n] = row["mise_c"]
         mise_lam[n] = row["mise_lambda"]
     detail(capsys, f"  criterion 3 detail: MISE(C) = {mise}")
@@ -115,11 +113,10 @@ def test_criterion_3_distribution_mise_table(capsys):
 def test_criterion_4_network_mise_and_eigenvalues(capsys):
     start = time.time()
     targets = {25: 0.0039, 50: 0.0017, 100: 0.0010}
-    truth = SimulationTruth.for_networks(np.linspace(0, 1, 51))
     mise, mise_lam = {}, {}
     for n in (25, 50, 100):
         cfg = NetworkSimConfig(n=n, n_times=51, seed=53_000)
-        row = mise_report(cfg, truth, runs=100)
+        row = mise_report(cfg, runs=100)
         mise[n] = row["mise_c"]
         mise_lam[n] = row["mise_lambda"]
     in_band = all(targets[n] / 2 <= mise[n] <= targets[n] * 2 for n in targets)

@@ -82,7 +82,8 @@ class TestFitCommand:
                "trajectories": [[[0.0], [1.0]], [[1.0], [0.0]]]}
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(doc))
-        assert run(["fit", path, "--components", "5", "--out", tmp_path / "fit"]) == 2
+        for k in ("5", "0"):
+            assert run(["fit", path, "--components", k, "--out", tmp_path / "fit"]) == 2
 
     def test_space_flag_guard(self, tmp_path):
         assert run(["fit", DATA / "scalar_fixture.json", "--space", "quantile",
@@ -120,6 +121,41 @@ class TestFitCommand:
                     "--explained-fraction", "0.5", "--out", out]) == 0
         artifact = json.loads((out / "fit.json").read_text())
         assert len(artifact["eigenvalues"]) < 3
+
+    @pytest.mark.parametrize("fraction", ["2", "1.0000001", "0", "-0.5", "nan"])
+    def test_explained_fraction_outside_unit_interval_exits_2(self, tmp_path, fraction):
+        out = tmp_path / "fit"
+        assert run(["fit", DATA / "scalar_fixture.json", "--explained-fraction", fraction,
+                    "--out", out]) == 2
+        assert not out.exists()
+
+    def test_explained_fraction_one_keeps_all(self, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", DATA / "scalar_fixture.json", "--components", "3",
+                    "--explained-fraction", "1", "--out", out]) == 0
+        assert len(json.loads((out / "fit.json").read_text())["eigenvalues"]) == 3
+
+    def test_explained_fraction_k_independent_of_components(self, tmp_path):
+        # fractions divide by the whole spectrum, so the chosen K and the
+        # reported fractions do not depend on how many components were
+        # computed, once that is at least K
+        docs = []
+        for k in (2, 3, 5, 8):
+            out = tmp_path / f"k{k}"
+            assert run(["fit", DATA / "scalar_fixture.json", "--components", str(k),
+                        "--explained-fraction", "0.9", "--out", out]) == 0
+            docs.append(json.loads((out / "fit.json").read_text()))
+        assert [len(d["eigenvalues"]) for d in docs] == [2] * 4
+        assert all(d["explained_fractions"] == docs[0]["explained_fractions"] for d in docs)
+        assert sum(docs[0]["explained_fractions"]) < 0.9999
+
+    def test_bool_dim_exits_2(self, tmp_path, capsys):
+        doc = {"space": "quantile", "dim": True, "time_grid": [0.0, 1.0],
+               "trajectories": [[[0.0], [1.0]], [[1.0], [0.0]]]}
+        path = tmp_path / "booldim.json"
+        path.write_text(json.dumps(doc))
+        assert run(["fit", path, "--components", "1", "--out", tmp_path / "fit"]) == 2
+        assert "dim" in capsys.readouterr().err
 
     def test_partial_status_on_zero_integral_eigenfunction(self, tmp_path):
         grid = np.linspace(0, 1, 41)
@@ -205,6 +241,17 @@ class TestMiseCommand:
         assert run(["mise", "--design", "net", "--n", "6", "--runs", "1", "--T", "9",
                     "--components", "4", "--out", out]) == 2
         assert "rank" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("n_times", ["3", "4"])
+    def test_network_grid_too_coarse_for_truth_exits_2(self, tmp_path, capsys, n_times):
+        # the network directions vanish at both ends, so three or four
+        # grid points cannot hold three orthonormal directions
+        out = tmp_path / "mise.csv"
+        assert run(["mise", "--design", "net", "--n", "6", "--runs", "1", "--T", n_times,
+                    "--out", out]) == 2
+        assert "orthonormal" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -158,12 +158,17 @@ class TestExplainedFraction:
         assert explained_fraction(es, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_known_spectrum(self):
+        # the denominator is the whole spectrum, so retaining fewer
+        # components does not inflate the fraction of the first
         grid = np.linspace(0, 1, 101)
         w = trapezoid_weights(grid)
         basis = quadrature_orthonormalize(distribution_sim_basis(grid), w)
         lams = np.array([12.0, 6.0, 1.75])
-        es = eigendecompose(KernelSurface(grid, (basis.T * lams) @ basis, w), k=3)
-        assert explained_fraction(es, 1) == pytest.approx(12.0 / 19.75, abs=1e-7)
+        surface = KernelSurface(grid, (basis.T * lams) @ basis, w)
+        for k in (1, 2, 3):
+            es = eigendecompose(surface, k=k)
+            assert es.spectrum_total == pytest.approx(19.75, abs=1e-7)
+            assert explained_fraction(es, 1) == pytest.approx(12.0 / 19.75, abs=1e-7)
 
     def test_clipped_negative(self):
         grid = np.linspace(0, 1, 21)

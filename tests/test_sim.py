@@ -9,8 +9,8 @@ from scipy.special import eval_jacobi, ndtri
 
 from ofpca import (
     DistributionSimConfig,
+    InvalidObject,
     NetworkSimConfig,
-    SimulationTruth,
     distance,
     estimate_cov_surface,
     jacobi_polynomial,
@@ -19,6 +19,7 @@ from ofpca import (
     simulate_distributions,
     simulate_networks,
     trapezoid_weights,
+    true_eigensystem,
 )
 from ofpca.sim import (
     DISTRIBUTION_EIGENVALUES,
@@ -312,34 +313,49 @@ class TestNetworkGenerator:
 class TestTruth:
     def test_orthonormal_within_tolerance(self):
         for truth in (
-            SimulationTruth.for_distributions(np.linspace(0, 1, 51)),
-            SimulationTruth.for_networks(np.linspace(0, 1, 51)),
+            true_eigensystem(DistributionSimConfig(n=2, n_times=51)),
+            true_eigensystem(NetworkSimConfig(n=2, n_times=51)),
         ):
             gram = (truth.eigenfunctions * truth.quad_weights) @ truth.eigenfunctions.T
             assert np.abs(gram - np.eye(3)).max() <= 1e-6
 
     def test_surface_reproduces_eigenvalues(self):
-        from ofpca import KernelSurface, eigendecompose
+        from ofpca import KernelSurface, eigendecompose, reconstruct
 
-        truth = SimulationTruth.for_distributions(np.linspace(0, 1, 41))
-        surface = KernelSurface(truth.time_grid, truth.surface(), truth.quad_weights)
+        truth = true_eigensystem(DistributionSimConfig(n=2, n_times=41))
+        surface = KernelSurface(truth.time_grid, reconstruct(truth), truth.quad_weights)
         es = eigendecompose(surface, k=3)
         assert np.abs(es.eigenvalues - truth.eigenvalues).max() <= 1e-8
+
+
+    @pytest.mark.parametrize("n_times", [5, 51])
+    @pytest.mark.parametrize("make_cfg", [DistributionSimConfig, NetworkSimConfig])
+    def test_reconstruct_is_the_rank3_surface_bit_for_bit(self, make_cfg, n_times):
+        # the truth eigenvalues are positive, so clipping in reconstruct
+        # changes nothing and the surface is exactly (phi^T Lambda) phi
+        from ofpca import reconstruct
+
+        truth = true_eigensystem(make_cfg(n=2, n_times=n_times))
+        funs, vals = truth.eigenfunctions, truth.eigenvalues
+        assert np.array_equal(reconstruct(truth), (funs.T * vals) @ funs)
+        assert truth.spectrum_total == float(np.sum(vals))
+
+    def test_unknown_config_rejected(self):
+        with pytest.raises(InvalidObject):
+            true_eigensystem(object())
 
 
 class TestMiseHarness:
     def test_truth_debug_gives_zero_errors(self):
         cfg = DistributionSimConfig(n=10, n_times=21, m=10, seed=0)
-        truth = SimulationTruth.for_distributions(cfg.time_grid)
-        rep = mise_report(cfg, truth, runs=1, truth_debug=True)
+        rep = mise_report(cfg, runs=1, truth_debug=True)
         assert rep["mise_c"] <= 1e-8
         assert rep["mise_phi"].max() <= 1e-8
         assert rep["mise_lambda"].max() <= 1e-8
 
     def test_small_run_sane_values(self):
         cfg = DistributionSimConfig(n=10, n_times=21, m=20, seed=3)
-        truth = SimulationTruth.for_distributions(cfg.time_grid)
-        rep = mise_report(cfg, truth, runs=3)
+        rep = mise_report(cfg, runs=3)
         assert rep["n"] == 10 and rep["runs"] == 3
         assert rep["mise_c"] > 0
         assert np.all(np.isfinite(rep["mise_phi"]))
