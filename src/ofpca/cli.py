@@ -5,9 +5,10 @@ pure given its input file, flags, and seed: re-running writes identical
 bytes, and the worker-thread count never changes results.
 
 Exit codes: 0 success (including partial fits, which set a status
-field), 2 input or schema error, 3 internal numeric error.  Flags are
-checked by the library calls that use them (``--components`` outside
-[1, T] and ``--explained-fraction`` outside (0, 1] exit 2).
+field), 2 input or schema error (an unreadable input or unwritable
+output path included), 3 internal numeric error.  Flags are checked by
+the library calls that use them (``--components`` outside [1, T],
+``--explained-fraction`` outside (0, 1] and a negative ``--seed`` exit 2).
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OfpcaError, np.linalg.LinAlgError) as exc:

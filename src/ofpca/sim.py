@@ -6,12 +6,12 @@ through fixed polynomial directions, so the population auto-covariance
 is a known rank-3 kernel and estimation error can be measured exactly.
 ``true_eigensystem(cfg)`` returns that kernel as an ``EigenSystem`` on
 the config's grid, and ``mise_report`` measures against it.
-Random numbers come from counter-based Philox streams with one
-substream per trajectory, so enlarging a sample extends it without
-reshuffling earlier trajectories.  Only the factor draws are made per
-trajectory; the values of a whole sample are built in one broadcast over
-the draws, bit for bit equal to building each trajectory on its own,
-and validated once as one block.
+Random numbers come from counter-based Philox streams, one per factor,
+each drawing its whole column in trajectory order; trajectory i uses
+only the first i + 1 draws of each stream, so enlarging a sample extends
+it without reshuffling earlier trajectories.  The values of a whole
+sample are built in one broadcast over the draws, bit for bit equal to
+building each trajectory on its own, and validated once as one block.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class DistributionSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.n_times < 3 or self.m < 2:
-            raise InvalidObject("need n >= 2, n_times >= 3, m >= 2")
+        if self.n < 2 or self.n_times < 3 or self.m < 2 or self.seed < 0:
+            raise InvalidObject("need n >= 2, n_times >= 3, m >= 2, seed >= 0")
 
     @property
     def time_grid(self) -> np.ndarray:
@@ -131,22 +131,23 @@ class NetworkSimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.n_times < 3:
-            raise InvalidObject("need n >= 2, n_times >= 3")
+        if self.n < 2 or self.n_times < 3 or self.seed < 0:
+            raise InvalidObject("need n >= 2, n_times >= 3, seed >= 0")
 
     @property
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_times)
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _factor_draws(cfg, draw) -> np.ndarray:
-    """(4, n) factor draws, ``draw(rng)`` on each trajectory's own substream."""
-    return np.array([draw(_trajectory_rng(cfg.seed, i)) for i in range(cfg.n)]).T
+def _factor_draws(cfg, kinds, scales) -> np.ndarray:
+    """(4, n) factor draws: row k is ``scales[k]`` times n ``kinds[k]``
+    ("normal" or "uniform" on [0, 1)) draws from factor k's own Philox
+    stream, spawned from the seed and read in trajectory order."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(4)
+    return np.array([
+        scale * getattr(np.random.Generator(np.random.Philox(ss)), kind)(size=cfg.n)
+        for kind, scale, ss in zip(kinds, scales, streams)
+    ])
 
 
 def distribution_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +188,8 @@ def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
     with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
     W ~ sqrt(72) Unif(0, 1), Z ~ 3 Unif(0, 1)."""
-    draws = _factor_draws(cfg, lambda rng: (
-        rng.normal() * np.sqrt(12.0), rng.normal(),
-        np.sqrt(72.0) * rng.uniform(), 3.0 * rng.uniform(),
-    ))
+    draws = _factor_draws(cfg, ("normal", "normal", "uniform", "uniform"),
+                          (np.sqrt(12.0), 1.0, np.sqrt(72.0), 3.0))
     grid = cfg.time_grid
     mu, sigma = distribution_curve_params(*draws, grid)
     values = _distribution_values(mu, sigma, quantile_probes(cfg.m))
@@ -242,9 +241,7 @@ def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
 def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
     """Sample of two-community network trajectories with factor draws
     U ~ Unif(0, 0.4), V ~ Unif(0, 0.1), W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1)."""
-    draws = _factor_draws(cfg, lambda rng: (
-        rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.1)
-    ))
+    draws = _factor_draws(cfg, ("uniform",) * 4, (0.4, 0.1, 0.3, 0.1))
     grid = cfg.time_grid
     values = _network_values(*network_curve_params(*draws, grid))
     return ObjectSample._from_values(adjacency_space(NETWORK_NODES), grid, values)

@@ -42,6 +42,18 @@ class TestSimulateCommand:
                 assert np.abs(np.diag(mat)).max() == 0.0
                 assert mat.min() >= 0.0 and mat.max() <= 1.0
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["simulate", "--design", "net", "--n", "3", "--seed", "-1",
+                    "--out", out]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_directory_missing_exits_2(self, tmp_path, capsys):
+        assert run(["simulate", "--design", "net", "--n", "3",
+                    "--out", tmp_path / "nodir" / "x.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFitCommand:
     def test_golden_scores_regression(self, tmp_path):
@@ -71,6 +83,11 @@ class TestFitCommand:
         artifact = json.loads((out / "fit.json").read_text())
         assert np.abs(np.asarray(artifact["surface"])).max() == 0.0
         assert np.abs(np.asarray(artifact["scores"])).max() == 0.0
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        assert run(["fit", tmp_path / "missing.json", "--out", tmp_path / "fit"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fit").exists()
 
     def test_schema_error_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -243,6 +260,12 @@ class TestMiseCommand:
         assert "rank" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mise.csv"
+        assert run(["mise", "--design", "dist", "--n", "6", "--runs", "1", "--T", "9",
+                    "--m", "8", "--seed", "-2", "--out", out]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_times", ["3", "4"])
     def test_network_grid_too_coarse_for_truth_exits_2(self, tmp_path, capsys, n_times):

@@ -33,8 +33,8 @@ from ofpca.sim import (
     quantile_probes,
     run_seed,
     _distribution_values,
+    _factor_draws,
     _network_values,
-    _trajectory_rng,
 )
 
 from oracles import mc_pair_kernel_mean
@@ -171,27 +171,30 @@ class TestBatchedSimulation:
     """The batched generators against one trajectory built at a time."""
 
     @staticmethod
-    def reference_distributions(cfg):
-        trajs = []
-        for i in range(cfg.n):
-            rng = _trajectory_rng(cfg.seed, i)
-            u = rng.normal() * np.sqrt(12.0)
-            v = rng.normal()
-            w = np.sqrt(72.0) * rng.uniform()
-            z = 3.0 * rng.uniform()
-            trajs.append(distribution_trajectory(u, v, w, z, cfg.time_grid, cfg.m))
+    def factor_streams(seed):
+        return [np.random.Generator(np.random.Philox(ss))
+                for ss in np.random.SeedSequence(seed).spawn(4)]
+
+    @classmethod
+    def reference_distributions(cls, cfg):
+        su, sv, sw, sz = cls.factor_streams(cfg.seed)
+        us = su.normal(size=cfg.n) * np.sqrt(12.0)
+        vs = sv.normal(size=cfg.n)
+        ws = np.sqrt(72.0) * sw.uniform(size=cfg.n)
+        zs = 3.0 * sz.uniform(size=cfg.n)
+        trajs = [distribution_trajectory(u, v, w, z, cfg.time_grid, cfg.m)
+                 for u, v, w, z in zip(us, vs, ws, zs)]
         return np.stack([tr.values for tr in trajs])
 
-    @staticmethod
-    def reference_networks(cfg):
-        trajs = []
-        for i in range(cfg.n):
-            rng = _trajectory_rng(cfg.seed, i)
-            u = rng.uniform(0.0, 0.4)
-            v = rng.uniform(0.0, 0.1)
-            w = rng.uniform(0.0, 0.3)
-            z = rng.uniform(0.0, 0.1)
-            trajs.append(network_trajectory(u, v, w, z, cfg.time_grid))
+    @classmethod
+    def reference_networks(cls, cfg):
+        su, sv, sw, sz = cls.factor_streams(cfg.seed)
+        us = su.uniform(0.0, 0.4, cfg.n)
+        vs = sv.uniform(0.0, 0.1, cfg.n)
+        ws = sw.uniform(0.0, 0.3, cfg.n)
+        zs = sz.uniform(0.0, 0.1, cfg.n)
+        trajs = [network_trajectory(u, v, w, z, cfg.time_grid)
+                 for u, v, w, z in zip(us, vs, ws, zs)]
         return np.stack([tr.values for tr in trajs])
 
     @pytest.mark.parametrize("n", [2, 17])
@@ -217,6 +220,18 @@ class TestBatchedSimulation:
             small = make(cfg).stacked_values
             big = make(replace(cfg, n=n + 5)).stacked_values
             assert big[:n].tobytes() == small.tobytes()
+
+    def test_factors_come_from_distinct_streams(self):
+        # one stream shared by two factors would make their draws, scaled
+        # back to [0, 1), equal
+        draws = _factor_draws(NetworkSimConfig(n=17, seed=4), ("uniform",) * 4,
+                              (0.4, 0.1, 0.3, 0.1))
+        unit = draws / np.array([0.4, 0.1, 0.3, 0.1])[:, None]
+        assert unit.shape == (4, 17)
+        assert unit.min() >= 0.0 and unit.max() < 1.0
+        for a in range(4):
+            for b in range(a):
+                assert np.abs(unit[a] - unit[b]).min() > 0.0
 
     @pytest.mark.parametrize("design", ["dist", "net"])
     def test_values_built_without_full_size_temporaries(self, design):
