@@ -43,14 +43,7 @@ rho = of.metric_correlation(u, v)
 pearson = np.corrcoef(X[:, 3], X[:, 15])[0, 1]
 print(f"metric correlation {rho:.6f} vs Pearson {pearson:.6f}")
 
-# 4. the dependence-style kernel is a different animal: compare the two
-# surfaces' diagonals
-dep = of.distance_cov_surface(sample)
-print("\ndiagonal of the auto-covariance:", np.round(np.diag(surface.values)[:4], 3))
-print("diagonal of the dependence kernel:", np.round(np.diag(dep.values)[:4], 3))
-print("(only the first one reproduces classical FPCA directions)")
-
-# 5. eigenstructure recovers the two planted directions
+# 4. eigenstructure recovers the two planted directions
 es = of.eigendecompose(surface, k=3)
 print("\neigenvalues:", np.round(es.eigenvalues, 4))
 print("planted: about", np.round([1.5**2 * 0.5, 0.7**2 * 0.5], 3),

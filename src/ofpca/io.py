@@ -155,9 +155,12 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     raw_trajs = _require(doc, "trajectories", list)
     if not raw_trajs:
         raise SchemaError("trajectories must be non-empty", field="trajectories")
-    values = np.empty((len(raw_trajs), grid.size, space.data_len))
-    for i, raw in enumerate(raw_trajs):
-        values[i] = _real_array(raw, f"trajectories[{i}]", values.shape[1:])
+    # check one trajectory's shape before allocating room for all of them
+    first = _real_array(raw_trajs[0], "trajectories[0]", (grid.size, space.data_len))
+    values = np.empty((len(raw_trajs),) + first.shape)
+    values[0] = first
+    for i, raw in enumerate(raw_trajs[1:], 1):
+        values[i] = _real_array(raw, f"trajectories[{i}]", first.shape)
     if project_on_load:
         values = project_coordinates(space, values)
     try:

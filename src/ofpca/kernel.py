@@ -260,8 +260,7 @@ def metric_variance(objs: list[ObjectPoint]) -> float:
     are a time slice of a sample, and the unbiased sample variance for
     scalars.
     """
-    _, rows = _centered_points(objs)
-    return float(np.sum(rows * rows) / (rows.shape[0] - 1))
+    return metric_covariance(objs, objs)
 
 
 def metric_covariance(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
@@ -270,9 +269,8 @@ def metric_covariance(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     coordinates.
 
     Both lists must live in the same space: the U-statistic evaluates
-    distances between u- and v-objects.  With ``u`` equal to ``v`` the
-    result equals :func:`metric_variance` bit for bit, so
-    self-correlation is exactly 1.
+    distances between u- and v-objects.  :func:`metric_variance` is this
+    with ``u`` equal to ``v``, so self-correlation is exactly 1.
     """
     space_u, rows_u = _centered_points(u)
     space_v, rows_v = _centered_points(v)
@@ -304,32 +302,3 @@ def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
 def total_variance(surface: KernelSurface) -> float:
     """Quadrature integral of the surface diagonal (the operator trace)."""
     return float(np.dot(surface.quad_weights, np.diagonal(surface.values)))
-
-
-def distance_cov_surface(sample: ObjectSample) -> KernelSurface:
-    """Comparison baseline: the squared sample distance covariance
-    (biased V-statistic, double-centering form) between the object
-    slices at every pair of times.
-
-    Unlike the metric auto-covariance this measures probabilistic
-    dependence, not signed association, and is provided only to contrast
-    the two kernels.
-    """
-    n = sample.n
-    E = sample.stacked_values * sample.space.coord_scale
-    T = sample.time_grid.size
-    centered = np.empty((T, n, n))
-    for s in range(T):
-        rows = E[:, s, :]
-        sq = np.einsum("ip,ip->i", rows, rows)
-        gram = rows @ rows.T
-        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2)
-        d = 0.5 * (d + d.T)
-        row_mean = d.mean(axis=1, keepdims=True)
-        centered[s] = d - row_mean - row_mean.T + d.mean()
-    flat = centered.reshape(T, n * n)
-    surface = (flat @ flat.T) / (n * n)
-    surface = 0.5 * (surface + surface.T)
-    return KernelSurface(sample.time_grid, surface, trapezoid_weights(sample.time_grid))

@@ -115,7 +115,7 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
 
     ``block`` has shape (..., data_len).  Violations beyond
     ``ADMISSION_TOL`` raise InvalidObject; violations within it are
-    repaired in a copy (clamped onto the constraint set).  Returns the
+    repaired in a copy (metrically projected).  Returns the
     admitted data, sharing memory with ``block`` when nothing needed
     repair.
     """
@@ -133,9 +133,12 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
 
     if space.tag == "quantile":
         if np.any(block[..., 1:] < block[..., :-1]):
-            if (block[..., :-1] - block[..., 1:]).max() > ADMISSION_TOL:
+            out = block.reshape(-1, space.dim).copy()
+            dips = np.any(out[:, 1:] < out[:, :-1], axis=1)
+            if (out[dips, :-1] - out[dips, 1:]).max() > ADMISSION_TOL:
                 raise InvalidObject("quantile vector is not non-decreasing")
-            block = np.maximum.accumulate(block, axis=-1)
+            out[dips] = project_coordinates(space, out[dips])
+            block = out.reshape(block.shape)
         return block
 
     mats = _as_matrices(space, block)
@@ -211,15 +214,12 @@ def distance(a: ObjectPoint, b: ObjectPoint) -> float:
     sqrt((1/m) sum_k (Q_a(u_k) - Q_b(u_k))^2), matrices the Frobenius
     norm of the difference, scalars the absolute difference.
     """
-    if a.space != b.space:
-        raise SpaceMismatch(f"{a.space.tag}(dim={a.space.dim}) vs {b.space.tag}(dim={b.space.dim})")
-    diff = (a.data - b.data) * a.space.coord_scale
-    return float(np.sqrt(np.dot(diff, diff)))
+    return float(np.sqrt(squared_distance(a, b)))
 
 
 def squared_distance(a: ObjectPoint, b: ObjectPoint) -> float:
     if a.space != b.space:
-        raise SpaceMismatch(f"{a.space.tag} vs {b.space.tag}")
+        raise SpaceMismatch(f"{a.space.tag}(dim={a.space.dim}) vs {b.space.tag}(dim={b.space.dim})")
     diff = (a.data - b.data) * a.space.coord_scale
     return float(np.dot(diff, diff))
 

@@ -174,6 +174,14 @@ class TestFitCommand:
         assert run(["fit", path, "--components", "1", "--out", tmp_path / "fit"]) == 2
         assert "dim" in capsys.readouterr().err
 
+    def test_huge_dim_exits_2_before_allocating(self, tmp_path, capsys):
+        doc = {"space": "adjacency", "dim": 1_000_000_000, "time_grid": [0.0, 1.0],
+               "trajectories": [[[0.0], [0.0]]]}
+        path = tmp_path / "hugedim.json"
+        path.write_text(json.dumps(doc))
+        assert run(["fit", path, "--out", tmp_path / "fit"]) == 2
+        assert "trajectories[0]" in capsys.readouterr().err
+
     def test_partial_status_on_zero_integral_eigenfunction(self, tmp_path):
         grid = np.linspace(0, 1, 41)
         phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid)

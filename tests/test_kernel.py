@@ -17,7 +17,6 @@ from ofpca import (
     SpaceMismatch,
     TooFewTrajectories,
     adjacency_space,
-    distance_cov_surface,
     estimate_cov_surface,
     metric_correlation,
     metric_covariance,
@@ -363,30 +362,6 @@ class TestTotalVariance:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(6, 8))
         assert total_variance(estimate_cov_surface(scalar_sample(X))) >= -1e-8
-
-
-class TestDistanceCovSurface:
-    def test_independent_columns_near_zero(self):
-        rng = np.random.default_rng(18)
-        n = 200
-        base = rng.normal(size=n)
-        # destroy dependence between the two times by permuting one column
-        X = np.stack([base, base[rng.permutation(n)]], axis=1)
-        surface = distance_cov_surface(scalar_sample(X, grid=np.array([0.0, 1.0])))
-        assert abs(surface.values[0, 1]) <= 0.1
-
-    def test_identical_columns_strictly_positive(self):
-        vals = np.linspace(-1, 1, 30)
-        X = np.stack([vals, vals], axis=1)
-        surface = distance_cov_surface(scalar_sample(X, grid=np.array([0.0, 1.0])))
-        assert surface.values[0, 1] > 0.01
-
-    def test_constant_column_zero(self):
-        rng = np.random.default_rng(19)
-        X = np.stack([np.full(25, 2.0), rng.normal(size=25)], axis=1)
-        surface = distance_cov_surface(scalar_sample(X, grid=np.array([0.0, 1.0])))
-        assert surface.values[0, 0] == pytest.approx(0.0, abs=1e-14)
-        assert surface.values[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 class TestSurfaceInvariants:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import ofpca
 from ofpca import (
     BadRank,
     ObjectPoint,
@@ -26,6 +27,12 @@ from ofpca.cli import main as cli_main
 from ofpca.sim import DistributionSimConfig, NetworkSimConfig, simulate
 
 from oracles import classical_cross_covariance
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry breaks `from ofpca import *`
+    missing = [name for name in ofpca.__all__ if not hasattr(ofpca, name)]
+    assert not missing
 
 
 class TestNonUniformGrid:

@@ -204,8 +204,11 @@ class TestValidation:
         assert np.linalg.eigvalsh(p.matrix()).min() >= 0.0
 
     def test_repairs_tiny_quantile_violation(self):
-        p = ObjectPoint(quantile_space(3), [0.0, 1.0, 1.0 - 5e-11])
+        raw = [0.0, 1.0, 1.0 - 5e-11]
+        p = ObjectPoint(quantile_space(3), raw)
         assert np.all(np.diff(p.data) >= 0.0)
+        # the repair is the L2 projection (PAVA)
+        np.testing.assert_array_equal(p.data, isotonic_projection(raw))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidObject):
