@@ -10,16 +10,19 @@ with the pair kernel
     f_{s,t}(x, y) = d^2(x(s), y(t)) + d^2(y(s), x(t))
                     - d^2(x(s), x(t)) - d^2(y(s), y(t)).
 
-Every supported space is flat in its scaled coordinates,
-d^2(a, b) = ||c (a - b)||^2 with c = ``SpaceKind.coord_scale``, so the
-pair kernel is f_{s,t}(x, y) = 2 c^2 <x(s) - y(s), x(t) - y(t)> and the
-U-statistic equals the classical unbiased cross-covariance of the
-coordinate curves:
+Every supported space is flat in weighted coordinates Z(a) = w a[keep],
+d^2(a, b) = ||Z(a) - Z(b)||^2 (``SpaceKind.metric_coordinates``), so the
+pair kernel is f_{s,t}(x, y) = 2 <Z(x(s)) - Z(y(s)), Z(x(t)) - Z(y(t))>
+and the U-statistic equals the classical unbiased cross-covariance of
+the coordinate curves:
 
-    C_hat(s, t) = c^2/(n-1) * sum_i <X_i(s) - Xbar(s), X_i(t) - Xbar(t)>.
+    C_hat(s, t) = 1/(n-1) * sum_i <Z_i(s) - Zbar(s), Z_i(t) - Zbar(t)>.
 
-:func:`estimate_cov_surface` computes it as one (T, nL) x (nL, T)
-matrix product of the centered coordinates, at O(n T^2 L) cost.
+:func:`estimate_cov_surface` takes the mean first, then adds the
+product of each centered, weighted block of trajectories, a (T, b k)
+array of about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k)
+cost, with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
+r(r+1)/2 for sympsd, and no temporary the size of the sample.
 Centering first also keeps the result accurate for curves with a large
 common offset.  :func:`pair_kernel` keeps the distance-only form as a
 test oracle.  An :class:`ObjectSample` is one read-only (n, T, L)
@@ -41,6 +44,9 @@ from .errors import (
     TooFewTrajectories,
 )
 from .spaces import ObjectPoint, SpaceKind, validate_block
+
+#: Floats (512 KiB) per block of :func:`estimate_cov_surface`.
+_BLOCK_FLOATS = 1 << 16
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
@@ -221,16 +227,25 @@ def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int
 
 
 def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
-    """U-statistic estimate of the metric auto-covariance surface, computed
-    as the centered cross-covariance of the scaled coordinates (see the
-    module docstring)."""
-    n, T, L = sample.stacked_values.shape
-    # the one sample-sized temporary: the coordinates as (T, n, L), centered
-    X = sample.stacked_values.transpose(1, 0, 2).copy()
-    X -= X.mean(axis=1, keepdims=True)
-    X = X.reshape(T, n * L)
-    surface = X @ X.T * sample.space.coord_scale**2 / (n - 1)
-    surface = 0.5 * (surface + surface.T)
+    """U-statistic estimate of the metric auto-covariance surface: the
+    centered cross-covariance of the weighted metric coordinates, summed
+    over blocks of trajectories (see the module docstring)."""
+    values = sample.stacked_values
+    n, T, _ = values.shape
+    keep, w = sample.space.metric_coordinates()
+    mean = values.mean(axis=0)[:, None, keep]
+    step = max(1, _BLOCK_FLOATS // (T * w.size))
+    surface = np.zeros((T, T))
+    for i in range(0, n, step):
+        # (T, b, k) as a C-ordered copy or a T-fastest gather: a view either way
+        block = values[i:i + step].transpose(1, 0, 2)
+        X = block.copy() if isinstance(keep, slice) else block[..., keep]
+        X -= mean
+        X *= w
+        X = X.reshape(T, -1, order="A")
+        surface += X @ X.T
+        del X  # so that one block is alive at a time
+    surface = (surface + surface.T) / (2 * (n - 1))
     return KernelSurface(sample.time_grid, surface, trapezoid_weights(sample.time_grid))
 
 

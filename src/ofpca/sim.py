@@ -335,11 +335,7 @@ def mise_report(
         if truth_debug:
             surface = debug_surface
         else:
-            # the sample stays bound until the next run's is built, so the
-            # allocator reuses its memory instead of handing it back to the
-            # system with the surface's temporary, to be faulted in again
-            sample = simulate(replace(cfg, seed=run_seed(cfg.seed, r)))
-            surface = estimate_cov_surface(sample)
+            surface = estimate_cov_surface(simulate(replace(cfg, seed=run_seed(cfg.seed, r))))
         es = eigendecompose(surface, k=n_components)
         ise_c += float(np.sum(w2 * (surface.values - true_surface) ** 2))
         for j in range(n_components):

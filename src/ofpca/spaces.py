@@ -81,6 +81,16 @@ class SpaceKind:
             return 1.0 / np.sqrt(self.dim)
         return 1.0
 
+    def metric_coordinates(self) -> tuple[slice | np.ndarray, np.ndarray]:
+        """Coordinates ``keep`` and weights ``w`` with d^2(x, y) =
+        ||w (x - y)[keep]||^2 on admitted objects: all at ``coord_scale``,
+        or the upper triangle of the exactly symmetric matrices, at
+        sqrt(2) off the diagonal, without the zero adjacency diagonal."""
+        if not self.is_matrix:
+            return slice(None), np.full(self.data_len, self.coord_scale)
+        rows, cols = np.triu_indices(self.dim, k=int(self.tag == "adjacency"))
+        return rows * self.dim + cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+
     def quantile_grid(self) -> np.ndarray:
         """Interior midpoint probability grid u_k = (k - 0.5)/m."""
         if self.tag != "quantile":

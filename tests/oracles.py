@@ -29,6 +29,19 @@ def classical_cross_covariance(X: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (n - 1)
 
 
+def reference_cov_surface(sample) -> np.ndarray:
+    """The surface values as ``estimate_cov_surface`` computed them before
+    it used each space's triangle coordinates in blocks, kept verbatim:
+    one product of all L centered coordinates, through a (T, n, L) copy
+    of the sample."""
+    n, T, L = sample.stacked_values.shape
+    X = sample.stacked_values.transpose(1, 0, 2).copy()
+    X -= X.mean(axis=1, keepdims=True)
+    X = X.reshape(T, n * L)
+    surface = X @ X.T * sample.space.coord_scale**2 / (n - 1)
+    return 0.5 * (surface + surface.T)
+
+
 def pearson_unbiased(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, float)
     v = np.asarray(v, float)

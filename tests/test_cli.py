@@ -12,6 +12,8 @@ import pytest
 
 import ofpca
 from ofpca.cli import main
+from ofpca.io import save_trajectory_file
+from ofpca.kernel import _BLOCK_FLOATS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -365,3 +367,15 @@ class TestBlasThreads:
                     for k in (1, 2)
                 )
                 assert one == two, (design, name)
+        # no design simulates sympsd curves, whose surface keeps the
+        # triangle with its diagonal: fit a file three blocks long
+        space, T = ofpca.sympsd_space(4), 21
+        n = 2 * (_BLOCK_FLOATS // (T * 10)) + 1
+        a = np.random.default_rng(3).normal(size=(n, T, 4, 4))
+        values = (a @ np.swapaxes(a, -1, -2)).reshape(n, T, 16)
+        data = tmp_path / "sympsd.json"
+        sample = ofpca.ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        save_trajectory_file(sample, data)
+        one, two = (self.digests(["fit", data, "--components", "3"],
+                                 tmp_path / f"blas{k}" / "sympsd-fit", k) for k in (1, 2))
+        assert one == two

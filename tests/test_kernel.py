@@ -24,12 +24,16 @@ from ofpca import (
     pair_kernel,
     quantile_space,
     scalar_space,
+    squared_distance,
     sympsd_space,
     total_variance,
     trapezoid_weights,
 )
 
-from oracles import classical_cross_covariance, pearson_unbiased
+from ofpca.kernel import _BLOCK_FLOATS
+from ofpca.spaces import ADMISSION_TOL
+
+from oracles import classical_cross_covariance, pearson_unbiased, reference_cov_surface
 
 
 def scalar_sample(X, grid=None):
@@ -463,8 +467,8 @@ class TestSampleFromValues:
                              ids=lambda sp: sp.tag)
     def test_sample_and_surface_build_one_sample_sized_temporary(self, space):
         # validation through out-of-place temporaries would hold several
-        # arrays of the sample's size at once; the surface's centered
-        # (T, n, L) copy is the one such array either step needs
+        # arrays of the sample's size at once; block validation needs less
+        # than one, and the surface a few blocks (TestBlockedSurface)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(10), (100, 51))
         tracemalloc.start()
@@ -476,3 +480,67 @@ class TestSampleFromValues:
             tracemalloc.stop()
         assert sample.stacked_values.shape == (100, 51, space.data_len)
         assert peak < 1.5 * values.nbytes
+
+
+SURFACE_SPACES = [scalar_space(), quantile_space(100), adjacency_space(10), sympsd_space(10)]
+
+
+def trajectories_per_block(space, T):
+    return _BLOCK_FLOATS // (T * space.metric_coordinates()[1].size)
+
+
+class TestBlockedSurface:
+    """estimate_cov_surface sums blocks of trajectories on each space's
+    metric coordinates; it must match the full-coordinate centered
+    product, and hold only a block at a time besides the sample."""
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES, ids=lambda sp: sp.tag)
+    def test_metric_coordinates_give_squared_distance(self, space):
+        a, b = random_objects(space, np.random.default_rng(3), (2,))
+        keep, w = space.metric_coordinates()
+        want = squared_distance(ObjectPoint(space, a), ObjectPoint(space, b))
+        assert np.sum((w * (a - b)[keep]) ** 2) == pytest.approx(want, rel=1e-14)
+        if space.is_matrix:
+            r = space.dim
+            assert w.size == r * (r + (1 if space.tag == "sympsd" else -1)) // 2
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES, ids=lambda sp: sp.tag)
+    @pytest.mark.parametrize("blocks", ["n=2", "block-1", "block", "block+1", "3 blocks+1"])
+    def test_matches_reference(self, space, blocks):
+        T = 51
+        b = trajectories_per_block(space, T)
+        assert b >= 3
+        n = {"n=2": 2, "block-1": b - 1, "block": b, "block+1": b + 1,
+             "3 blocks+1": 3 * b + 1}[blocks]
+        values = random_objects(space, np.random.default_rng(n), (n, T))
+        # nudged within tolerance: admission repairs it to an exactly valid object
+        values = nudged(space, values, 0.5 * ADMISSION_TOL)
+        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        want = reference_cov_surface(sample)
+        got = estimate_cov_surface(sample).values
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_sympsd_large_offset_matches_reference(self):
+        space, T = sympsd_space(10), 51
+        n = trajectories_per_block(space, T) + 1
+        values = random_objects(space, np.random.default_rng(4), (n, T))
+        values += 1e8 * np.eye(space.dim).reshape(-1)
+        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        want = reference_cov_surface(sample)
+        got = estimate_cov_surface(sample).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES[1:], ids=lambda sp: sp.tag)
+    @pytest.mark.parametrize("n", [100, 1600])
+    def test_surface_holds_a_fraction_of_the_sample(self, space, n):
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(11), (n, 51))
+        sample = ObjectSample._from_values(space, grid, values)
+        tracemalloc.start()
+        try:
+            estimate_cov_surface(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * values.nbytes
