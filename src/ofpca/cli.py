@@ -14,7 +14,6 @@ the library calls that use them (``--components`` outside [1, T],
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -49,17 +48,6 @@ INPUT_ERRORS = (
     EmptyInput,
     BadWeights,
 )
-
-
-def _check_threads(value) -> None:
-    """--threads and OFPCA_THREADS have no effect, but a malformed value
-    is still an input error."""
-    env = os.environ.get("OFPCA_THREADS")
-    if value is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise SchemaError(f"OFPCA_THREADS is not an integer: {env!r}")
 
 
 def _add_common_fit_args(parser):
@@ -147,7 +135,6 @@ def _run_fit(args, fpc_objects):
         raise SchemaError(
             f"file holds {sample.space.tag!r} objects, --space says {args.space!r}"
         )
-    _check_threads(args.threads)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = fit_fpca(
@@ -190,7 +177,6 @@ def cmd_mise(args) -> int:
         raise SchemaError(f"--n must be comma-separated integers, got {args.n!r}")
     if not n_list:
         raise SchemaError("--n selected no sample sizes")
-    _check_threads(args.threads)
     rows = []
     for n in n_list:
         rows.append(mise_report(_make_config(args, n), runs=args.runs,

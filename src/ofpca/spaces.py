@@ -32,8 +32,9 @@ SPACE_TAGS = ("scalar", "quantile", "adjacency", "sympsd")
 
 #: Admission tolerance for constraint violations on ingestion: inputs
 #: violating an invariant by more than this are rejected, violations
-#: within it are repaired by metric projection.  Matches the PSD
-#: eigenvalue tolerance.
+#: within it are repaired by metric projection.  PSD eigenvalues within
+#: round-off of zero (r * eps * max|lambda|, the most that projection
+#: itself leaves) are admitted as they are, so admission is a fixed point.
 ADMISSION_TOL = 1e-10
 
 
@@ -167,19 +168,18 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
         if lo < -ADMISSION_TOL or hi > 1.0 + ADMISSION_TOL:
             raise InvalidObject("adjacency entries outside [0, 1]")
         if diag > 0.0 or lo < 0.0 or hi > 1.0:
-            mats = np.clip(mats, 0.0, 1.0)
-            idx = np.arange(space.dim)
-            mats[..., idx, idx] = 0.0
+            return project_coordinates(space, mats.reshape(block.shape))
         return mats.reshape(block.shape)
 
-    # sympsd: eigenvalues at least -ADMISSION_TOL; small dips re-projected
-    min_eigs = np.linalg.eigvalsh(mats)[..., 0]
+    # sympsd: eigenvalues at least -ADMISSION_TOL; dips beyond round-off re-projected
+    eigs = np.linalg.eigvalsh(mats)
+    min_eigs = eigs[..., 0]
     if min_eigs.min() < -ADMISSION_TOL:
         raise InvalidObject(
             f"matrix not positive semidefinite (min eigenvalue {min_eigs.min():.3g})"
         )
     out = mats.reshape(block.shape)
-    dips = min_eigs < 0.0
+    dips = min_eigs < -space.dim * np.finfo(float).eps * np.abs(eigs).max(axis=-1)
     if dips.any():
         out = out.copy()
         out[dips] = project_coordinates(space, out[dips])
@@ -237,11 +237,14 @@ def squared_distance(a: ObjectPoint, b: ObjectPoint) -> float:
 def cross_squared_distances(space: SpaceKind, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """All pairwise squared distances between two stacks of coordinate rows.
 
-    ``rows_a`` is (na, L), ``rows_b`` is (nb, L); returns (na, nb).
+    ``rows_a`` is (na, L), ``rows_b`` is (nb, L); returns (na, nb).  Both
+    stacks are centered on the mean of ``rows_b`` before |a|^2 + |b|^2 - 2ab
+    is expanded, so a large common offset does not cancel catastrophically.
     """
     scale = space.coord_scale
-    a = rows_a * scale
-    b = rows_b * scale
+    center = rows_b.mean(axis=0)
+    a = (rows_a - center) * scale
+    b = (rows_b - center) * scale
     sq_a = np.einsum("ip,ip->i", a, a)
     sq_b = np.einsum("ip,ip->i", b, b)
     gram = a @ b.T
@@ -250,35 +253,28 @@ def cross_squared_distances(space: SpaceKind, rows_a: np.ndarray, rows_b: np.nda
     return out
 
 
-def isotonic_projection(y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted L2 projection onto non-decreasing vectors (pool adjacent
-    violators).
+def isotonic_projection(y: np.ndarray) -> np.ndarray:
+    """L2 projection onto non-decreasing vectors (pool adjacent violators).
 
-    Blocks whose pooled averages are equal are merged left to right, so
-    the output is deterministic.
+    Only strict violations are pooled, so a non-decreasing vector comes
+    back bit for bit and the projection is idempotent.  The metric is
+    uniform, so each block's weight is its count.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    if weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(weights, dtype=float)
 
-    # stack of blocks: (pooled mean, pooled weight, count)
+    # stack of blocks: (pooled mean, count)
     means = np.empty(n)
-    wsums = np.empty(n)
     counts = np.empty(n, dtype=int)
     top = -1
     for i in range(n):
         top += 1
         means[top] = y[i]
-        wsums[top] = weights[i]
         counts[top] = 1
-        while top > 0 and means[top - 1] >= means[top]:
-            total = wsums[top - 1] + wsums[top]
-            means[top - 1] = (wsums[top - 1] * means[top - 1] + wsums[top] * means[top]) / total
-            wsums[top - 1] = total
-            counts[top - 1] += counts[top]
+        while top > 0 and means[top - 1] > means[top]:
+            total = counts[top - 1] + counts[top]
+            means[top - 1] = (counts[top - 1] * means[top - 1] + counts[top] * means[top]) / total
+            counts[top - 1] = total
             top -= 1
     return np.repeat(means[: top + 1], counts[: top + 1])
 
@@ -286,8 +282,9 @@ def isotonic_projection(y: np.ndarray, weights: np.ndarray | None = None) -> np.
 def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
     """Metric projection of each raw coordinate vector in ``raw``
     (..., data_len) onto the space's constraint set; returns coordinates
-    of the same shape.  Idempotent.  PAVA runs only on quantile vectors
-    that are not strictly increasing: it returns the others unchanged."""
+    of the same shape.  Idempotent bit for bit, up to ``eigh`` round-off
+    for sympsd.  PAVA runs only on quantile vectors that decrease
+    somewhere: the others are feasible and come back unchanged."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim == 0 or raw.shape[-1] != space.data_len:
         raise InvalidObject(
@@ -301,7 +298,7 @@ def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
     if space.tag == "quantile":
         out = raw.copy()
         rows = out.reshape(-1, space.dim)
-        for i in np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1)):
+        for i in np.flatnonzero(np.any(rows[:, 1:] < rows[:, :-1], axis=1)):
             rows[i] = isotonic_projection(rows[i])
         return out
 

@@ -330,11 +330,6 @@ class TestThreadEnv:
         assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
                     "--out", out]) == 0
 
-    def test_bad_env_value_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OFPCA_THREADS", "many")
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
-                    "--out", tmp_path / "fit"]) == 2
-
 
 class TestBlasThreads:
     """Outputs must not depend on the BLAS thread count."""

@@ -20,6 +20,7 @@ from ofpca import (
     riemann_sum_minimizer,
     scalar_space,
     squared_distance,
+    sympsd_space,
     trapezoid_weights,
 )
 from ofpca.sim import quadrature_orthonormalize
@@ -201,6 +202,18 @@ class TestObjectFpc:
         searched = riemann_sum_minimizer(traj, phi_star, lattice, w)
         assert abs(closed.data[0] - searched.data[0]) <= 1e-3
 
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_matches_riemann_lattice_scalar_at_large_offset(self, offset):
+        grid = np.linspace(0, 1, 17)
+        w = trapezoid_weights(grid)
+        traj = ObjectTrajectory(scalar_space(), grid, offset + np.cos(np.pi * grid)[:, None])
+        phi_star = 2.0 * grid
+        closed = object_fpc(traj, phi_star, w)
+        step = 1e-3
+        lattice = [ObjectPoint(scalar_space(), [offset + v]) for v in np.arange(-1.5, 1.5, step)]
+        searched = riemann_sum_minimizer(traj, phi_star, lattice, w)
+        assert abs(closed.data[0] - searched.data[0]) <= step + 1e-12
+
     @pytest.mark.parametrize("m,n_levels", [(2, 81), (3, 51)])
     def test_matches_riemann_lattice_quantile(self, m, n_levels):
         rng = np.random.default_rng(4)
@@ -367,6 +380,19 @@ class TestFitPipeline:
             fit = fit_fpca(sample, n_components=2)
         assert 1 in fit.skipped_components
         assert fit.scores.shape[1] == 2
+
+    def test_views_equal_their_arrays(self):
+        # rank-2 4x4 matrices: round-off negative eigenvalues are admitted
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(20, 11, 4, 2))
+        values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
+        sample = ObjectSample._from_values(sympsd_space(4), np.linspace(0, 1, 11), values)
+        for traj, row in zip(sample.trajectories, sample.stacked_values):
+            assert traj.values.tobytes() == row.tobytes()
+        fit = fit_fpca(sample, n_components=2)
+        for j, comps in enumerate(fit.object_components):
+            for i, row in enumerate(comps):
+                assert fit.object_fpcs[i][j].data.tobytes() == row.tobytes()
 
     def test_scores_ignore_object_fpc_toggle(self):
         rng = np.random.default_rng(8)

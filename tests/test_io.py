@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ofpca import ObjectSample, ObjectTrajectory, SchemaError, quantile_space
+from ofpca import ObjectSample, ObjectTrajectory, SchemaError, quantile_space, sympsd_space
 from ofpca import io as ofio
 
 
@@ -44,6 +44,17 @@ class TestTrajectoryFile:
         assert loaded.space == sample.space
         assert np.array_equal(loaded.time_grid, sample.time_grid)
         assert np.array_equal(loaded.stacked_values, sample.stacked_values)
+
+    def test_sympsd_round_trip_is_bit_equal(self, tmp_path):
+        # rank-2 4x4 matrices: round-off negative eigenvalues are admitted
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(20, 11, 4, 2))
+        values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
+        sample = ObjectSample._from_values(sympsd_space(4), np.linspace(0, 1, 11), values)
+        path = tmp_path / "psd.json"
+        ofio.save_trajectory_file(sample, path)
+        loaded = ofio.load_trajectory_file(path)
+        assert loaded.stacked_values.tobytes() == sample.stacked_values.tobytes()
 
     def test_write_is_deterministic(self, tmp_path):
         sample = small_sample()

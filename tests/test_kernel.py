@@ -372,8 +372,20 @@ class TestSurfaceInvariants:
     def test_rejects_asymmetric_values(self):
         grid = np.linspace(0, 1, 3)
         vals = np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(InvalidSurface):
-            KernelSurface(grid, vals, trapezoid_weights(grid))
+        for scale in (1.0, 1e8):
+            with pytest.raises(InvalidSurface):
+                KernelSurface(grid, scale * vals, trapezoid_weights(grid))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e8])
+    def test_symmetry_tolerance_is_relative(self, scale):
+        # symmetric by construction, but the product rounds each triangle
+        # on its own
+        grid = np.linspace(0, 1, 9)
+        basis = np.random.default_rng(4).normal(size=(3, 9))
+        lam = scale * np.array([3.0, 2.0, 1.0])
+        vals = (basis.T * lam) @ basis
+        assert not np.array_equal(vals, vals.T)
+        KernelSurface(grid, vals, trapezoid_weights(grid))
 
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidObject):
