@@ -55,7 +55,8 @@ def _add_common_fit_args(parser):
                         default=None,
                         help="assert the input file's space (guards against mixing files)")
     parser.add_argument("--components", type=int, default=4, metavar="K",
-                        help="number of eigencomponents to retain (default 4)")
+                        help="number of eigencomponents to retain, at most the "
+                             "surface's numerical rank (default 4)")
     parser.add_argument("--explained-fraction", type=float, default=None, metavar="F",
                         help="keep the smallest K whose cumulative explained "
                              "fraction reaches F, in (0, 1] (capped by --components)")

@@ -171,13 +171,26 @@ class FpcaFit:
         return tuple(zip(*columns))
 
 
-def _leading_components(es: EigenSystem, fraction: float) -> EigenSystem:
-    """The smallest leading block of ``es`` whose cumulative explained
-    fraction (of the clipped whole spectrum) reaches ``fraction``."""
+def _numerical_rank(es: EigenSystem) -> int:
+    """The count of retained eigenvalues above T*eps*lambda1, at least one.
+
+    Every shipped surface is a Gram matrix, so an eigenvalue under that
+    cut (the ``matrix_rank`` rule) is round-off, and its eigenfunction an
+    arbitrary vector of the null space."""
+    cut = es.time_grid.size * np.finfo(float).eps * es.eigenvalues[0]
+    return max(int(np.sum(es.eigenvalues > cut)), 1)
+
+
+def _fraction_count(es: EigenSystem, fraction: float) -> int:
+    """The size of the smallest leading block of ``es`` whose cumulative
+    explained fraction (of the clipped whole spectrum) reaches ``fraction``."""
     if es.spectrum_total <= 0:
-        return es
+        return es.num_retained
     cumulative = np.cumsum(np.clip(es.eigenvalues, 0.0, None)) / es.spectrum_total
-    keep = int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
+    return int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
+
+
+def _first_components(es: EigenSystem, keep: int) -> EigenSystem:
     if keep >= es.num_retained:
         return es
     kept = es.eigenvalues[:keep]
@@ -195,12 +208,15 @@ def fit_fpca(
     """Run the full pipeline: covariance surface, eigensystem, mean curve,
     scores, and (optionally) per-trajectory object components.
 
-    With ``explained_fraction`` the eigensystem keeps only the smallest
-    number of leading components (at most ``n_components``) whose
-    cumulative explained fraction reaches it, before object components
-    are computed from it.  Components whose eigenfunction integrates to
-    numerically zero are skipped for object components (with a warning)
-    but keep their score column.  An ``explained_fraction`` outside
+    The eigensystem keeps at most the numerical rank of the surface (and
+    at least one component): components whose eigenvalues are not above
+    T*eps*lambda1 are dropped with a warning that names them.  With
+    ``explained_fraction`` it keeps only the smallest number of leading
+    components (at most ``n_components``) whose cumulative explained
+    fraction reaches it.  Both cuts come before object components are
+    computed.  Components whose eigenfunction integrates to numerically
+    zero are skipped for object components (with a warning) but keep
+    their score column.  An ``explained_fraction`` outside
     (0, 1] raises ``BadRank``.
     """
     if explained_fraction is not None and not 0.0 < explained_fraction <= 1.0:
@@ -210,11 +226,17 @@ def fit_fpca(
     mean = frechet_mean_trajectory(sample)
     curves = distance_curves(sample, mean)
     # trimmed score columns are sliced from the untrimmed product, so they
-    # match the fit without explained_fraction bit for bit
+    # match the untrimmed fit bit for bit
     scores = _project_curves(curves, es)
+    keep = _numerical_rank(es)
+    if keep < es.num_retained:
+        dropped = ", ".join(map(str, range(keep + 1, es.num_retained + 1)))
+        warnings.warn(f"components above the numerical rank dropped: {dropped} "
+                      "(eigenvalues below T*eps*lambda1 are round-off)", stacklevel=2)
     if explained_fraction is not None:
-        es = _leading_components(es, explained_fraction)
-        scores = scores[:, : es.num_retained]
+        keep = min(keep, _fraction_count(es, explained_fraction))
+    es = _first_components(es, keep)
+    scores = scores[:, : es.num_retained]
 
     object_components = None
     skipped: list[int] = []

@@ -4,14 +4,20 @@ One rule formats every number written: `_numbers` renders an array of
 reals with 17 significant digits, so each float round-trips exactly and
 each integer below 2**53 prints as an integer; NaN or inf raises
 InvalidObject.  The writers are deterministic byte for byte for a fixed
-input.  A trajectory file loads into one (n, T, L) array, validated once
-as a block.  A fit artifact read back for `export-plots` has its plotted
+input.  JSON files are read as UTF-8 text in 1 MiB chunks, never whole,
+and each element of a trajectory file's `trajectories` becomes a float
+array as soon as it is decoded, so its parsed document is never held
+whole either; text that is not UTF-8, not JSON or nested too deep is a
+SchemaError that gives the offset of the fault in the file.  A
+trajectory file loads into one (n, T, L) array, validated once as a
+block.  A fit artifact read back for `export-plots` has its plotted
 fields checked for type and shape; a malformed one is a SchemaError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
@@ -30,7 +36,7 @@ def _numbers(values, sep: str) -> str:
     finite = np.isfinite(arr)
     if not finite.all():
         raise InvalidObject(f"cannot serialize non-finite float {float(arr[~finite][0])!r}")
-    return sep.join(map("{:.17g}".format, arr.tolist()))
+    return sep.join(["%.17g"] * arr.size) % tuple(arr.tolist())
 
 
 def format_float(x: float) -> str:
@@ -88,15 +94,101 @@ def write_json(obj: Any, path) -> None:
         fh.write(dumps(obj))
 
 
-def _read_json(path) -> dict:
-    """The top-level object of a JSON file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+#: Characters read from a JSON file at a time.
+_CHUNK = 1 << 20
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+class _JsonChunks:
+    """A JSON file read ``_CHUNK`` characters at a time; only the text from
+    the cursor on is held.  Errors give their offset in the file."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos, self.base, self.eof = fh, "", 0, 0, False
+
+    def invalid(self, message: str, pos: int) -> SchemaError:
+        return SchemaError(f"not valid JSON: {message} at char {self.base + pos}")
+
+    def more(self) -> bool:
+        """Read on, at least as much as is held, so that a value longer than
+        a chunk is decoded O(log) times; False at end of file."""
+        if self.eof:
+            return False
+        try:
+            chunk = self.fh.read(max(_CHUNK, len(self.text) - self.pos))
+        except UnicodeDecodeError as exc:
+            at = self.fh.buffer.tell() - len(exc.object) + exc.start
+            raise SchemaError(f"not valid JSON: not UTF-8 ({exc.reason}) at byte {at}") from exc
+        self.base, self.text = self.base + self.pos, self.text[self.pos:] + chunk
+        self.pos, self.eof = 0, not chunk
+        return not self.eof
+
+    def peek(self) -> str:
+        """The next character after whitespace; "" at end of file."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos:self.pos + 1]
+
+    def take(self, chars: str, what: str) -> str:
+        char = self.peek()
+        if not char or char not in chars:
+            raise self.invalid(f"Expecting {what}", self.pos)
+        self.pos += 1
+        return char
+
+    def items(self, close: str):
+        """Yield before each element of the array or object just opened."""
+        if self.peek() == close:
+            self.pos += 1
+            return
+        yield
+        while self.take("," + close, "',' delimiter") == ",":
+            yield
+
+    def value(self, follow: str = ",]}"):
+        """Decode the next value.  Text cut inside a value can still decode
+        (``1.`` of ``1.5``), so the value counts only once one of
+        ``follow`` or the end of file comes after it."""
+        self.peek()
+        while True:
+            try:
+                obj, end = _DECODE(self.text, self.pos)
+            except (ValueError, RecursionError) as exc:
+                if self.more():
+                    continue
+                raise self.invalid(getattr(exc, "msg", str(exc)),
+                                   getattr(exc, "pos", self.pos)) from exc
+            after = _SPACE.match(self.text, end).end()
+            if after < len(self.text) and self.text[after] in follow or not self.more():
+                self.pos = end
+                return obj
+
+
+def _read_object(path, stream_key: str | None = None, convert=None) -> dict:
+    """The top-level object of a JSON file.  An array under ``stream_key``
+    becomes the list of ``convert(i, element)``, each called as soon as
+    its element is decoded."""
+    doc = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        js = _JsonChunks(fh)
+        if js.peek() != "{":
+            js.value()
+            raise SchemaError("top level must be an object")
+        js.pos += 1
+        for _ in js.items("}"):
+            if js.peek() != '"':
+                raise js.invalid("Expecting property name enclosed in double quotes", js.pos)
+            key = js.value(":")
+            js.take(":", "':' delimiter")
+            if key == stream_key and js.peek() == "[":
+                js.pos += 1
+                doc[key] = [convert(i, js.value()) for i, _ in enumerate(js.items("]"))]
+            else:
+                doc[key] = js.value()
+        if js.peek():
+            raise js.invalid("Extra data", js.pos)
     return doc
 
 
@@ -114,7 +206,7 @@ def _real_array(value, field: str, shape: tuple) -> np.ndarray:
     """``value`` as a finite float array of ``shape``; a "*" matches any length."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"non-numeric data: {exc}", field=field) from exc
     if arr.ndim != len(shape) or any(w != g for w, g in zip(shape, arr.shape) if w != "*"):
         want = ", ".join(map(str, shape))
@@ -144,7 +236,8 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     projected onto its space's constraint set, repairing invalid input
     instead of rejecting it.
     """
-    doc = _read_json(path)
+    doc = _read_object(path, "trajectories",
+                       lambda i, raw: _real_array(raw, f"trajectories[{i}]", ("*", "*")))
     tag = _require(doc, "space", str)
     if tag not in SPACE_TAGS:
         raise SchemaError(f"unknown space {tag!r}", field="space")
@@ -152,15 +245,13 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     space = SpaceKind(tag, dim)
 
     grid = _time_grid(_require(doc, "time_grid"))
-    raw_trajs = _require(doc, "trajectories", list)
-    if not raw_trajs:
+    trajs = _require(doc, "trajectories", list)
+    if not trajs:
         raise SchemaError("trajectories must be non-empty", field="trajectories")
-    # check one trajectory's shape before allocating room for all of them
-    first = _real_array(raw_trajs[0], "trajectories[0]", (grid.size, space.data_len))
-    values = np.empty((len(raw_trajs),) + first.shape)
-    values[0] = first
-    for i, raw in enumerate(raw_trajs[1:], 1):
-        values[i] = _real_array(raw, f"trajectories[{i}]", first.shape)
+    shape = (grid.size, space.data_len)
+    values = np.stack([_real_array(raw, f"trajectories[{i}]", shape)
+                       for i, raw in enumerate(trajs)])
+    del doc, trajs  # free the per-trajectory arrays before validation allocates
     if project_on_load:
         values = project_coordinates(space, values)
     try:
@@ -228,7 +319,7 @@ def _explained_list(es) -> list:
 def load_fit_artifact(path) -> dict:
     """A fit artifact whose plotted fields are read as float arrays:
     time_grid (T,), surface (T, T), eigenfunctions (K, T), scores (n, K)."""
-    doc = _read_json(path)
+    doc = _read_object(path)
     for field in ("time_grid", "eigenvalues", "eigenfunctions", "scores", "surface"):
         _require(doc, field)
     grid = doc["time_grid"] = _time_grid(doc["time_grid"])

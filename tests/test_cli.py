@@ -323,6 +323,35 @@ class TestExportPlots:
         assert not (tmp_path / "plots").exists()
 
 
+class TestUndecodableInput:
+    """Text that json cannot decode is an input error that names its
+    offset in the file, for both readers."""
+
+    # (bad value, start of the message, offset of the fault in the value)
+    BAD = {
+        "not UTF-8": (b'[["\xff"]]', "not UTF-8 (invalid start byte) at byte", 3),
+        "nested too deep": (b"[" * 100000, "maximum recursion depth exceeded", 0),
+        "5000-digit integer": (b"1" * 5000, "Exceeds the limit (4300 digits)", 0),
+    }
+    HEADS = {
+        "fit": b'{"space": "scalar", "dim": 1, "time_grid": [0, 1], "trajectories": [[[0], [1]], ',
+        "export-plots": b'{"time_grid": [0, 1], "scores": ',
+    }
+
+    @pytest.mark.parametrize("command", list(HEADS))
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_exits_2_naming_the_offset(self, tmp_path, capsys, command, case):
+        bad, message, shift = self.BAD[case]
+        head = self.HEADS[command]
+        path = tmp_path / "bad.json"
+        path.write_bytes(head + bad + b"]}")
+        assert run([command, path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: not valid JSON: " + message)
+        assert err.endswith(f" {len(head) + shift}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestThreadEnv:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OFPCA_THREADS", "2")

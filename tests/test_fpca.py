@@ -370,16 +370,31 @@ class TestFitPipeline:
                     assert p is not None and np.all(np.diff(p.data) >= -1e-12)
 
     def test_fit_skips_zero_integral_components(self):
-        # an antisymmetric sample drives the top eigenfunction to a
-        # zero-integral shape; the object component is skipped, scores stay
+        # a rank-2 sample whose top eigenfunction has a zero integral; that
+        # object component is skipped, the constant second one is not, and
+        # both score columns stay
         grid = np.linspace(0, 1, 41)
         phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
-        X = np.stack([a * phi for a in (-1.5, -0.5, 0.5, 1.5)])
+        X = np.stack([a * phi + b for a, b in zip((-1.5, -0.5, 0.5, 1.5),
+                                                  (0.1, -0.3, 0.3, -0.1))])
         sample = scalar_sample(X, grid)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="component 1: eigenfunction integral"):
             fit = fit_fpca(sample, n_components=2)
-        assert 1 in fit.skipped_components
+        assert fit.skipped_components == (1,)
+        assert fit.object_components[1] is not None
         assert fit.scores.shape[1] == 2
+
+    def test_fit_drops_round_off_components(self):
+        # a rank-1 sample: component 2 is a null-space direction whose
+        # eigenvalue is round-off, so it is dropped with a warning
+        grid = np.linspace(0, 1, 41)
+        phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid) + 1.0
+        sample = scalar_sample(np.stack([a * phi for a in (-1.5, -0.5, 0.5, 1.5)]), grid)
+        with pytest.warns(UserWarning, match=r"numerical rank dropped: 2, 3 \("):
+            fit = fit_fpca(sample, n_components=3)
+        assert fit.eigen.num_retained == 1
+        assert fit.scores.shape == (4, 1)
+        assert len(fit.object_components) == 1
 
     def test_views_equal_their_arrays(self):
         # rank-2 4x4 matrices: round-off negative eigenvalues are admitted

@@ -1,6 +1,7 @@
 """Serialization: float round-trips, schemas, file round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,79 @@ class TestTrajectoryFile:
         path.write_text("not json at all {")
         with pytest.raises(SchemaError, match="JSON"):
             ofio.load_trajectory_file(path)
+
+    def test_integer_beyond_float_range_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"space": "scalar", "dim": 1, "time_grid": [0, 1], '
+                        '"trajectories": [[[0], [1]], [[1%s], [0]]]}' % ("0" * 400))
+        with pytest.raises(SchemaError, match=r"trajectories\[1\]: non-numeric data"):
+            ofio.load_trajectory_file(path)
+
+    def test_not_utf8_names_its_byte(self, tmp_path):
+        # two-byte characters ahead of the bad byte, across several reads
+        raw = '{"space": "scalar", "note": "'.encode() + "é".encode() * 20000 + b"\xff\"}"
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        at = raw.index(b"\xff")
+        with pytest.raises(SchemaError, match=f"not UTF-8 .* at byte {at}$"):
+            ofio.load_trajectory_file(path)
+
+    def test_load_holds_about_twice_the_sample(self, tmp_path):
+        # neither the file's text nor its parsed document is held whole:
+        # the element arrays and their stack are the peak
+        quantiles = np.sort(np.random.default_rng(4).normal(size=(51, 100)), axis=1)
+        path = tmp_path / "sample.json"
+        trajectories = ", ".join([ofio.dumps(quantiles)] * 200)
+        path.write_text('{"space": "quantile", "dim": 100, "time_grid": %s, "trajectories": [%s]}'
+                        % (ofio.dumps(np.linspace(0, 1, 51)), trajectories))
+        tracemalloc.start()
+        try:
+            sample = ofio.load_trajectory_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.stacked_values.shape == (200, 51, 100)
+        assert peak <= 2.5 * sample.stacked_values.nbytes
+
+
+# Small trajectory files for the chunked reader, each with one trait a
+# chunk boundary can cut.
+CHUNKED_TEXTS = {
+    "keys reordered": '{"trajectories": [[[0.5], [-1]], [[2], [3.25]]], "time_grid": [0, 1], '
+                      '"dim": 1, "space": "scalar"}',
+    "split numbers": '{"space": "quantile", "dim": 2, "scale": -1.5e-3, "time_grid": [1.5e-3, '
+                     '2.5E-1], "trajectories": [[[-1.25e-3, 6.02e23], [1e-300, 0.1]], '
+                     '[[0, 1E2], [2, 3e+0]]]}',
+    "escaped strings": '{"sp\\u0061ce": "s\\u0063alar", '
+                       '"note": "a \\"q\\" \\\\ \\n é \\ud83d\\ude00", "dim": 1, '
+                       '"time\\u005fgrid": [0, 1], "trajectories": [[[7], [8]], [[9], [8]]]}',
+    "whitespace": '\n { "space" :"scalar" ,\r\n\t"dim": 1 , "time_grid" : [ 0 , 1 ] ,'
+                  '"trajectories":[ [ [ 0.5 ] , [1.5]] ,[[2],[ 3 ] ] ] } \n\n',
+}
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("name", list(CHUNKED_TEXTS))
+    def test_agrees_with_json_loads(self, tmp_path, monkeypatch, name):
+        text = CHUNKED_TEXTS[name]
+        paths = []
+        for cut in range(len(text) + 1):
+            paths.append(tmp_path / f"{cut}.json")
+            paths[-1].write_bytes(text[:cut].encode())
+        for chunk in range(1, 65):
+            monkeypatch.setattr(ofio, "_CHUNK", chunk)
+            for cut, path in enumerate(paths):
+                try:
+                    want = json.loads(text[:cut])
+                except ValueError:
+                    with pytest.raises(SchemaError):
+                        ofio.load_trajectory_file(path)
+                    continue
+                got = ofio.load_trajectory_file(path)
+                assert (got.space.tag, got.space.dim) == (want["space"], want["dim"])
+                assert got.time_grid.tobytes() == np.asarray(want["time_grid"], float).tobytes()
+                assert got.stacked_values.tobytes() == np.asarray(
+                    want["trajectories"], float).tobytes()
 
 
 class TestFitArtifact:
