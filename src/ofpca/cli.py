@@ -55,13 +55,12 @@ def _add_common_fit_args(parser):
                         default=None,
                         help="assert the input file's space (guards against mixing files)")
     parser.add_argument("--components", type=int, default=4, metavar="K",
-                        help="number of eigencomponents to retain, at most the "
-                             "surface's numerical rank (default 4)")
+                        help="number of eigencomponents to retain, at most T; "
+                             "components above the surface's numerical rank are "
+                             "dropped with a warning (default 4)")
     parser.add_argument("--explained-fraction", type=float, default=None, metavar="F",
                         help="keep the smallest K whose cumulative explained "
                              "fraction reaches F, in (0, 1] (capped by --components)")
-    parser.add_argument("--clip-negative-eigenvalues", action="store_true",
-                        help="zero out negative eigenvalues in the output")
     parser.add_argument("--fpc-objects", action="store_true", default=True,
                         help="compute per-trajectory object components (default)")
     parser.add_argument("--no-fpc-objects", dest="fpc_objects", action="store_false")
@@ -141,7 +140,6 @@ def _run_fit(args, fpc_objects):
         fit = fit_fpca(
             sample,
             n_components=args.components,
-            clip_negative=args.clip_negative_eigenvalues,
             fpc_objects=fpc_objects,
             explained_fraction=args.explained_fraction,
         )

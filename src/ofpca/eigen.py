@@ -35,9 +35,8 @@ class EigenSystem:
     sum_k w_k phi_j(t_k)^2 = 1.  Each eigenfunction carries the sign
     convention: its quadrature integral is nonnegative, and if that
     integral is numerically zero, the first entry exceeding 1e-9 in
-    absolute value is positive.  ``n_negative`` counts eigenvalues that
-    were negative before any clipping.  ``spectrum_total`` is the clipped
-    sum of the whole spectrum; left out, it is that of the retained
+    absolute value is positive.  ``spectrum_total`` is the clipped sum
+    of the whole spectrum; left out, it is that of the retained
     eigenvalues, as for a truth with no other components.
     """
 
@@ -45,8 +44,6 @@ class EigenSystem:
     eigenfunctions: np.ndarray
     time_grid: np.ndarray
     quad_weights: np.ndarray
-    n_negative: int = 0
-    clipped: bool = False
     spectrum_total: float | None = None
 
     def __post_init__(self):
@@ -97,8 +94,11 @@ def apply_sign_convention(funs: np.ndarray, quad_weights: np.ndarray) -> np.ndar
     return funs
 
 
-def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenSystem:
+def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     """Top-k eigenpairs of a kernel surface under quadrature weights.
+
+    Eigenvalues are reported raw: a surface that is not nonnegative
+    definite keeps its negative ones.
 
     Parameters
     ----------
@@ -107,10 +107,6 @@ def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenS
         already checked that it is symmetric.
     k : int
         Number of components to retain; at most T.
-    clip : bool
-        If True, negative eigenvalues are zeroed in the output (they are
-        still counted in ``n_negative``).  Finite-sample surfaces need
-        not be nonnegative definite, so the default reports them raw.
 
     Raises
     ------
@@ -135,11 +131,7 @@ def eigendecompose(surface: KernelSurface, k: int, clip: bool = False) -> EigenS
     norms = np.sqrt((funs * funs) @ w)
     funs = funs / norms[:, None]
     funs = apply_sign_convention(funs, w)
-
-    n_negative = int(np.sum(vals < 0.0))
-    if clip:
-        vals = np.clip(vals, 0.0, None)
-    return EigenSystem(vals, funs, surface.time_grid, w, n_negative, bool(clip), spectrum_total)
+    return EigenSystem(vals, funs, surface.time_grid, w, spectrum_total)
 
 
 def explained_fraction(es: EigenSystem, j: int) -> float:

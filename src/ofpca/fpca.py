@@ -190,18 +190,9 @@ def _fraction_count(es: EigenSystem, fraction: float) -> int:
     return int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
 
 
-def _first_components(es: EigenSystem, keep: int) -> EigenSystem:
-    if keep >= es.num_retained:
-        return es
-    kept = es.eigenvalues[:keep]
-    return replace(es, eigenvalues=kept, eigenfunctions=es.eigenfunctions[:keep],
-                   n_negative=int(np.sum(kept < 0)))
-
-
 def fit_fpca(
     sample: ObjectSample,
     n_components: int = 4,
-    clip_negative: bool = False,
     fpc_objects: bool = True,
     explained_fraction: float | None = None,
 ) -> FpcaFit:
@@ -222,7 +213,7 @@ def fit_fpca(
     if explained_fraction is not None and not 0.0 < explained_fraction <= 1.0:
         raise BadRank(f"explained fraction must be in (0, 1], got {explained_fraction}")
     surface = estimate_cov_surface(sample)
-    es = eigendecompose(surface, k=n_components, clip=clip_negative)
+    es = eigendecompose(surface, k=n_components)
     mean = frechet_mean_trajectory(sample)
     curves = distance_curves(sample, mean)
     # trimmed score columns are sliced from the untrimmed product, so they
@@ -235,8 +226,9 @@ def fit_fpca(
                       "(eigenvalues below T*eps*lambda1 are round-off)", stacklevel=2)
     if explained_fraction is not None:
         keep = min(keep, _fraction_count(es, explained_fraction))
-    es = _first_components(es, keep)
-    scores = scores[:, : es.num_retained]
+    es = replace(es, eigenvalues=es.eigenvalues[:keep],
+                 eigenfunctions=es.eigenfunctions[:keep])
+    scores = scores[:, :keep]
 
     object_components = None
     skipped: list[int] = []

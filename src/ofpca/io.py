@@ -90,8 +90,9 @@ def dumps(obj: Any) -> str:
 
 
 def write_json(obj: Any, path) -> None:
+    text = dumps(obj)  # a non-finite value raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 #: Characters read from a JSON file at a time.
@@ -282,8 +283,6 @@ def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> 
         "quad_weights": fit.surface.quad_weights,
         "surface": fit.surface.values,
         "eigenvalues": es.eigenvalues,
-        "n_negative_eigenvalues": es.n_negative,
-        "clipped": es.clipped,
         "eigenfunctions": es.eigenfunctions,
         "explained_fractions": _explained_list(es),
         "mean": fit.mean.values,
@@ -331,11 +330,13 @@ def load_fit_artifact(path) -> dict:
 
 
 def write_csv(path, header: list[str], table) -> None:
-    """``header``, then one line per row of the 2-d numeric ``table``."""
+    """``header``, then one line per row of the 2-d numeric ``table``; a
+    value that cannot be written raises before the file is opened."""
+    lines = [",".join(header)]
+    lines.extend(_numbers(row, ",") for row in np.asarray(table, dtype=float))
+    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.asarray(table, dtype=float):
-            fh.write(_numbers(row, ",") + "\n")
+        fh.write(text)
 
 
 def write_surface_csv(path, time_grid, values) -> None:

@@ -181,6 +181,8 @@ class KernelSurface:
         w = np.array(self.quad_weights, dtype=float)
         if vals.shape != (t.size, t.size):
             raise InvalidSurface(f"values must be ({t.size}, {t.size}), got {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise InvalidSurface("surface is not finite")
         if np.abs(vals - vals.T).max() > 1e-12 * np.abs(vals).max():
             raise InvalidSurface("surface is not symmetric")
         if w.shape != (t.size,) or np.any(w < 0):

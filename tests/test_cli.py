@@ -126,13 +126,34 @@ class TestFitCommand:
         assert run(["fit", path, "--components", "1", "--project-on-load",
                     "--out", tmp_path / "f2"]) == 0
 
-    def test_clip_negative_eigenvalues_flag(self, tmp_path):
-        out = tmp_path / "clipped"
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "8",
-                    "--clip-negative-eigenvalues", "--out", out]) == 0
-        artifact = json.loads((out / "fit.json").read_text())
-        assert artifact["clipped"] is True
-        assert min(artifact["eigenvalues"]) >= 0.0
+    def test_retained_eigenvalues_are_positive(self, tmp_path):
+        # at K = T the rank cut drops every round-off eigenvalue, so no
+        # retained one is negative and there is nothing left to clip
+        dist = tmp_path / "dist.json"
+        assert run(["simulate", "--design", "dist", "--n", "60", "--seed", "3",
+                    "--out", dist]) == 0
+        for path, T in ((DATA / "scalar_fixture.json", 12), (dist, 51)):
+            out = tmp_path / path.stem
+            assert run(["fit", path, "--components", str(T), "--out", out]) == 0
+            artifact = json.loads((out / "fit.json").read_text())
+            assert len(artifact["time_grid"]) == T
+            assert all(v > 0.0 for v in artifact["eigenvalues"])
+            assert "n_negative_eigenvalues" not in artifact
+            assert "clipped" not in artifact
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", DATA / "scalar_fixture.json", "--clip-negative-eigenvalues",
+                 "--out", tmp_path / "flag"])
+        assert exc.value.code == 2
+
+    def test_overflowing_surface_exits_3_without_output(self, tmp_path, capsys):
+        doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 0.5, 1.0],
+               "trajectories": [[[1e200], [1.0], [2.0]], [[-1e200], [1.0], [3.0]]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "fit"
+        assert run(["fit", path, "--components", "2", "--out", out]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_explained_fraction_trims(self, tmp_path):
         out = tmp_path / "trimmed"

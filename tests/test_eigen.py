@@ -138,15 +138,7 @@ class TestNegativeEigenvalues:
     def test_raw_spectrum_reports_negatives(self):
         es = eigendecompose(self.indefinite_surface(), k=21)
         assert es.eigenvalues.min() == pytest.approx(-1.0, abs=1e-10)
-        # the count includes float-noise negatives among the zero modes
-        assert es.n_negative >= 1
-        assert not es.clipped
-
-    def test_clip_zeroes_negatives(self):
-        es = eigendecompose(self.indefinite_surface(), k=21, clip=True)
-        assert es.eigenvalues.min() == 0.0
-        assert es.n_negative >= 1
-        assert es.clipped
+        assert (es.eigenvalues < 0).sum() >= 1
 
 
 class TestExplainedFraction:

@@ -239,6 +239,21 @@ class TestCsv:
         assert path.read_text().splitlines()[0] == "i,beta1,beta2,beta3"
 
 
+class TestFailedWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: ofio.write_json({"a": [1.0, float("inf")]}, path),
+        lambda path: ofio.write_csv(path, ["a"], [[1.0], [float("nan")]]),
+    ], ids=["write_json", "write_csv"])
+    def test_non_finite_value_leaves_file_unchanged(self, tmp_path, write):
+        # the value raises before the path is opened
+        from ofpca import InvalidObject
+        path = tmp_path / "out"
+        path.write_text("old\n")
+        with pytest.raises(InvalidObject):
+            write(path)
+        assert path.read_bytes() == b"old\n"
+
+
 # Values at the edges of the 17-significant-digit rule.
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 12.0, -3.0,
                2.0**52, 2.0**53, np.nextafter(1.0, 2.0), 0.1, 1.0 / 3.0, 1.7976931348623157e308]

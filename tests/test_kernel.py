@@ -376,6 +376,14 @@ class TestSurfaceInvariants:
             with pytest.raises(InvalidSurface):
                 KernelSurface(grid, scale * vals, trapezoid_weights(grid))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        grid = np.linspace(0, 1, 3)
+        vals = np.eye(3)
+        vals[0, 1] = vals[1, 0] = bad
+        with pytest.raises(InvalidSurface, match="not finite"):
+            KernelSurface(grid, vals, trapezoid_weights(grid))
+
     @pytest.mark.parametrize("scale", [1e3, 1e8])
     def test_symmetry_tolerance_is_relative(self, scale):
         # symmetric by construction, but the product rounds each triangle
