@@ -55,10 +55,3 @@ component = of.object_fpc(sample.trajectories[0], phi1_star, surface.quad_weight
 print("\nobject component of trajectory 0 along direction 1:")
 print("  quantile vector head:", np.round(component.data[:5], 3))
 print("  monotone:", bool(np.all(np.diff(component.data) >= 0)))
-
-# the metric-agnostic fallback searches an explicit candidate set; with
-# no candidates given it picks the best of the curve's own objects, a
-# coarse stand-in for spaces without a closed-form minimizer
-searched = of.riemann_sum_minimizer(sample.trajectories[0], phi1_star)
-print("  best observed object is", round(of.distance(component, searched), 3),
-      "away from the exact integral (the observed curve is a coarse grid)")

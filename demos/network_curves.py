@@ -8,7 +8,7 @@ metric.  The same estimator code runs unchanged; only the space differs.
 import numpy as np
 
 import ofpca as of
-from ofpca.sim import NETWORK_EIGENVALUES, network_population_eigenvalue
+from ofpca.sim import NETWORK_EIGENVALUES
 
 cfg = of.NetworkSimConfig(n=150, n_times=51, seed=777)
 sample = of.simulate_networks(cfg)
@@ -36,9 +36,3 @@ if component is not None:
           " community-2 edge:", round(mat[5, 6], 3))
 
 print("\nscore summary (std per direction):", np.round(fit.scores.std(axis=0), 4))
-
-# brute-force Monte-Carlo value of the third population eigenvalue;
-# a cheap draw count is enough to see the scale
-lam3 = network_population_eigenvalue(3, n_draws=100_000)
-print("\nMonte-Carlo population value of eigenvalue 3:", round(lam3, 4),
-      "(derivation without the clamp gives 1/30 = 0.0333)")

@@ -14,7 +14,6 @@ from .errors import (
     BadWeights,
     DegenerateSpectrum,
     DegenerateVariance,
-    EmptyInput,
     InvalidObject,
     InvalidSurface,
     NonIntegrableEigenfunction,
@@ -31,7 +30,6 @@ from .fpca import (
     frechet_scores,
     normalize_eigenfunction,
     object_fpc,
-    riemann_sum_minimizer,
 )
 from .kernel import (
     KernelSurface,
@@ -51,7 +49,6 @@ from .sim import (
     distribution_sim_basis,
     jacobi_polynomial,
     mise_report,
-    network_population_eigenvalue,
     network_sim_basis,
     simulate,
     simulate_distributions,
@@ -64,12 +61,10 @@ from .spaces import (
     adjacency_space,
     distance,
     isotonic_projection,
-    project,
     quantile_space,
     scalar_space,
     squared_distance,
     sympsd_space,
-    weighted_barycenter,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +76,6 @@ __all__ = [
     "DegenerateVariance",
     "DistributionSimConfig",
     "EigenSystem",
-    "EmptyInput",
     "FpcaFit",
     "InvalidObject",
     "InvalidSurface",
@@ -112,15 +106,12 @@ __all__ = [
     "metric_covariance",
     "metric_variance",
     "mise_report",
-    "network_population_eigenvalue",
     "network_sim_basis",
     "normalize_eigenfunction",
     "object_fpc",
     "pair_kernel",
-    "project",
     "quantile_space",
     "reconstruct",
-    "riemann_sum_minimizer",
     "scalar_space",
     "simulate",
     "simulate_distributions",
@@ -130,5 +121,4 @@ __all__ = [
     "total_variance",
     "trapezoid_weights",
     "true_eigensystem",
-    "weighted_barycenter",
 ]

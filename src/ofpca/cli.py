@@ -24,7 +24,6 @@ from . import io
 from .errors import (
     BadRank,
     BadWeights,
-    EmptyInput,
     InvalidObject,
     OfpcaError,
     SchemaError,
@@ -45,7 +44,6 @@ INPUT_ERRORS = (
     SpaceMismatch,
     TooFewTrajectories,
     BadRank,
-    EmptyInput,
     BadWeights,
 )
 

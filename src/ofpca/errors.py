@@ -13,10 +13,6 @@ class InvalidObject(OfpcaError):
     """Data violates the invariants of its metric space."""
 
 
-class EmptyInput(OfpcaError):
-    """An operation received an empty collection."""
-
-
 class BadWeights(OfpcaError):
     """Barycenter weights do not sum to one (or are malformed)."""
 

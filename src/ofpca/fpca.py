@@ -4,11 +4,11 @@ The object principal component of a trajectory along a direction phi is
 the Frechet integral: the object minimizing the phi-weighted integral
 of squared distances to the trajectory.  In the convex spaces provided
 here that minimizer is computed exactly as the signed-weight barycenter
-of the trajectory's objects; :func:`riemann_sum_minimizer` is the
-metric-agnostic fallback that searches an explicit candidate set and
-doubles as the independent check of the closed-form path.  Each stage
-takes the sample's (n, T, L) array whole: the object components of all
-n trajectories along one direction are one average and one projection.
+of the trajectory's objects, in :func:`_frechet_integrals` alone; a
+Riemann-sum search over explicit candidates in ``tests/oracles.py``
+checks it.  Each stage takes the sample's (n, T, L) array whole: the
+object components of all n trajectories along one direction are one
+average and one projection.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import EigenSystem, eigendecompose
-from .errors import BadRank, BadWeights, EmptyInput, NonIntegrableEigenfunction
+from .errors import BadRank, BadWeights, NonIntegrableEigenfunction
 from .kernel import (
     KernelSurface,
     ObjectSample,
@@ -28,7 +28,7 @@ from .kernel import (
     estimate_cov_surface,
     trapezoid_weights,
 )
-from .spaces import ObjectPoint, cross_squared_distances, project_coordinates
+from .spaces import ObjectPoint, project_coordinates
 
 #: Minimum absolute eigenfunction integral for object components; below
 #: this the normalized direction is numerically undefined.
@@ -83,41 +83,16 @@ def object_fpc(
 def _frechet_integrals(space, values, quad_weights, phi_star) -> np.ndarray:
     """Frechet integrals against phi_star of the trajectory in ``values``
     (T, L), or of all n in (n, T, L): one average, one projection."""
-    weights = quad_weights * np.asarray(phi_star, dtype=float)
+    phi_star = np.asarray(phi_star, dtype=float)
+    T = values.shape[-2]
+    if phi_star.shape != (T,) or np.shape(quad_weights) != (T,):
+        raise BadWeights(f"phi_star and quad_weights must have shape ({T},), "
+                         f"got {phi_star.shape} and {np.shape(quad_weights)}")
+    weights = quad_weights * phi_star
     total = weights.sum()
     if abs(total - 1.0) > 1e-8:
         raise BadWeights(f"phi_star integrates to {total!r}, expected 1")
     return project_coordinates(space, weights @ values)
-
-
-def riemann_sum_minimizer(
-    traj: ObjectTrajectory,
-    phi_star: np.ndarray,
-    candidates: list[ObjectPoint] | None = None,
-    quad_weights: np.ndarray | None = None,
-) -> ObjectPoint:
-    """Minimizer of the discretized Frechet-integral objective over an
-    explicit candidate set.
-
-    Evaluates sum_k d^2(omega, X(t_k)) phi_star(t_k) w_k for every
-    candidate omega and returns the first minimizer.  Works in any space because it only
-    needs distances; with a dense candidate lattice it converges to the
-    exact Frechet integral as the grid refines, which makes it the
-    oracle for :func:`object_fpc`.  When ``candidates`` is omitted the
-    trajectory's own observed objects are searched, a cheap heuristic
-    for spaces without a closed-form minimizer.
-    """
-    if candidates is None:
-        candidates = list(traj.points)
-    if len(candidates) == 0:
-        raise EmptyInput("riemann_sum_minimizer needs at least one candidate")
-    if quad_weights is None:
-        quad_weights = trapezoid_weights(traj.time_grid)
-    phi_star = np.asarray(phi_star, dtype=float)
-    rows = np.stack([c.data for c in candidates])
-    d2 = cross_squared_distances(traj.space, rows, traj.values)
-    objective = d2 @ (phi_star * quad_weights)
-    return candidates[int(np.argmin(objective))]
 
 
 def distance_curves(sample: ObjectSample, mean: ObjectTrajectory) -> np.ndarray:

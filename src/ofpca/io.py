@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigen import explained_fraction
 from .errors import DegenerateSpectrum, InvalidObject, SchemaError
-from .kernel import ObjectSample
+from .kernel import ObjectSample, _check_time_grid
 from .spaces import SPACE_TAGS, SpaceKind, project_coordinates, validate_block
 
 _NUMBER = (int, float, np.integer, np.floating)
@@ -219,9 +219,10 @@ def _real_array(value, field: str, shape: tuple) -> np.ndarray:
 
 def _time_grid(value) -> np.ndarray:
     grid = _real_array(value, "time_grid", ("*",))
-    if grid.size < 2:
-        raise SchemaError("time_grid must be a flat list of at least 2 reals", field="time_grid")
-    return grid
+    try:
+        return _check_time_grid(grid)
+    except InvalidObject as exc:
+        raise SchemaError(str(exc), field="time_grid") from exc
 
 
 def save_trajectory_file(sample: ObjectSample, path) -> None:
@@ -263,13 +264,13 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
 
 def _rejected_field(space: SpaceKind, values: np.ndarray) -> str:
     """The field that the block validation of a loaded sample rejected:
-    the first trajectory whose objects are invalid, else the time grid."""
+    the first trajectory whose objects are invalid (the time grid passed
+    its check before any trajectory was validated)."""
     for i, traj in enumerate(values):
         try:
             validate_block(space, traj)
         except InvalidObject:
             return f"trajectories[{i}]"
-    return "time_grid"
 
 
 def fit_to_dict(fit, space: SpaceKind, status: str = "ok", warnings_list=()) -> dict:

@@ -111,10 +111,6 @@ class ObjectTrajectory:
     def point(self, k: int) -> ObjectPoint:
         return ObjectPoint(self.space, self.values[k])
 
-    @property
-    def points(self) -> tuple[ObjectPoint, ...]:
-        return tuple(self.point(k) for k in range(self.n_times))
-
 
 @dataclass(frozen=True, init=False)
 class ObjectSample:
@@ -236,7 +232,8 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
     n, T, _ = values.shape
     keep, w = sample.space.metric_coordinates()
     mean = values.mean(axis=0)[:, None, keep]
-    step = max(1, _BLOCK_FLOATS // (T * w.size))
+    # a one-node network keeps no coordinates: its blocks are empty, its surface zero
+    step = max(1, _BLOCK_FLOATS // (T * max(w.size, 1)))
     surface = np.zeros((T, T))
     for i in range(0, n, step):
         # (T, b, k) as a C-ordered copy or a T-fastest gather: a view either way

@@ -11,7 +11,9 @@ each drawing its whole column in trajectory order; trajectory i uses
 only the first i + 1 draws of each stream, so enlarging a sample extends
 it without reshuffling earlier trajectories.  The values of a whole
 sample are built in one broadcast over the draws, bit for bit equal to
-building each trajectory on its own, and validated once as one block.
+the one-trajectory builders of ``tests/oracles.py``, and validated once
+as one block.  The brute-force population-eigenvalue oracle lives there
+too: no command runs it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import BadRank, InvalidObject
 from .kernel import (
     KernelSurface,
     ObjectSample,
-    ObjectTrajectory,
     estimate_cov_surface,
     trapezoid_weights,
 )
@@ -45,7 +46,8 @@ DISTRIBUTION_EIGENVALUES = (12.0, 6.0, 1.75)
 #: and Var(U(0, c)) = c^2/12, so:
 #:   lambda_1 = 20 * 0.4^2 / 12, lambda_2 = 20 * 0.3^2 / 12,
 #:   lambda_3 = 2 * 20 * 0.1^2 / 12 = 1/30.
-#: The third value is confirmed by network_population_eigenvalue.
+#: The third value is confirmed by the brute-force Monte Carlo in
+#: tests/oracles.py.
 NETWORK_EIGENVALUES = (3.2 / 12.0, 1.8 / 12.0, 1.0 / 30.0)
 
 
@@ -177,13 +179,6 @@ def _distribution_values(mu, sigma, probes) -> np.ndarray:
     return values
 
 
-def distribution_trajectory(u, v, w, z, time_grid, m: int) -> ObjectTrajectory:
-    """One quantile-vector trajectory from explicit factor draws."""
-    mu, sigma = distribution_curve_params(u, v, w, z, time_grid)
-    values = _distribution_values(mu, sigma, quantile_probes(m))
-    return ObjectTrajectory(quantile_space(m), np.asarray(time_grid, float), values)
-
-
 def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
     with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
@@ -228,14 +223,6 @@ def _network_values(p1, p2) -> np.ndarray:
     result is the only array of that size that is built."""
     weights = np.stack([p1, p2, np.full_like(p1, _CROSS_WEIGHT), np.zeros_like(p1)], axis=-1)
     return weights[..., _edge_classes()]
-
-
-def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
-    """One adjacency-matrix trajectory from explicit factor draws: edge
-    weight p1 inside the first community, p2 inside the second, 0.1
-    across, zero diagonal."""
-    values = _network_values(*network_curve_params(u, v, w, z, time_grid))
-    return ObjectTrajectory(adjacency_space(NETWORK_NODES), np.asarray(time_grid, float), values)
 
 
 def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
@@ -352,71 +339,3 @@ def mise_report(
         "mise_phi": ise_phi / runs,
         "mise_lambda": se_lambda / runs,
     }
-
-
-def network_population_eigenvalue(
-    j: int, n_draws: int = 1_000_000, n_times: int = 51, seed: int = 2024
-) -> float:
-    """Brute-force Monte-Carlo estimate of the j-th population eigenvalue
-    of the network design.
-
-    Draws independent trajectory pairs, evaluates the pairwise
-    covariance kernel on the grid, and projects it onto the j-th true
-    direction.  Distances are computed through the two within-community
-    edge-weight curves; that reduction is verified against full
-    adjacency matrices on a subsample before being trusted for the bulk
-    of the draws.
-    """
-    truth = true_eigensystem(NetworkSimConfig(n=2, n_times=n_times))
-    grid = truth.time_grid
-    g = truth.quad_weights * truth.eigenfunctions[j - 1]
-    g_total = g.sum()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    def draw_curves(size):
-        u = rng.uniform(0.0, 0.4, size)
-        v = rng.uniform(0.0, 0.1, size)
-        wd = rng.uniform(0.0, 0.3, size)
-        z = rng.uniform(0.0, 0.1, size)
-        return network_curve_params(u, v, wd, z, grid), (u, v, wd, z)
-
-    def projected_cross(p1x, p2x, p1y, p2y):
-        # sum_{s,t} g_s g_t d^2(X(s), Y(t)) with d^2 expanded per channel;
-        # 20 off-diagonal entries carry each within-community weight
-        out = 0.0
-        for px, py in ((p1x, p1y), (p2x, p2y)):
-            a_x = (px * px) @ g
-            a_y = (py * py) @ g
-            b_x = px @ g
-            b_y = py @ g
-            out = out + 20.0 * (g_total * a_x + g_total * a_y - 2.0 * b_x * b_y)
-        return out
-
-    # verify the two-channel reduction against full matrices
-    (p1a, p2a), (ua, va, wa, za) = draw_curves(64)
-    (p1b, p2b), (ub, vb, wb, zb) = draw_curves(64)
-    for idx in range(8):
-        ta = network_trajectory(ua[idx], va[idx], wa[idx], za[idx], grid)
-        tb = network_trajectory(ub[idx], vb[idx], wb[idx], zb[idx], grid)
-        diff = ta.values[:, None, :] - tb.values[None, :, :]
-        d2_full = np.einsum("stp,stp->st", diff, diff)
-        d2_fast = (
-            20.0 * (p1a[idx][:, None] - p1b[idx][None, :]) ** 2
-            + 20.0 * (p2a[idx][:, None] - p2b[idx][None, :]) ** 2
-        )
-        if np.abs(d2_full - d2_fast).max() > 1e-10:
-            raise InvalidObject("network distance reduction failed validation")
-
-    total = 0.0
-    chunk = 50_000
-    done = 0
-    while done < n_draws:
-        size = min(chunk, n_draws - done)
-        (p1x, p2x), _ = draw_curves(size)
-        (p1y, p2y), _ = draw_curves(size)
-        cross = projected_cross(p1x, p2x, p1y, p2y)
-        self_x = projected_cross(p1x, p2x, p1x, p2x)
-        self_y = projected_cross(p1y, p2y, p1y, p2y)
-        total += float(np.sum(0.25 * (2.0 * cross - self_x - self_y)))
-        done += size
-    return total / n_draws

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWeights, EmptyInput, InvalidObject, SpaceMismatch
+from .errors import InvalidObject, SpaceMismatch
 
 SPACE_TAGS = ("scalar", "quantile", "adjacency", "sympsd")
 
@@ -234,25 +234,6 @@ def squared_distance(a: ObjectPoint, b: ObjectPoint) -> float:
     return float(np.dot(diff, diff))
 
 
-def cross_squared_distances(space: SpaceKind, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances between two stacks of coordinate rows.
-
-    ``rows_a`` is (na, L), ``rows_b`` is (nb, L); returns (na, nb).  Both
-    stacks are centered on the mean of ``rows_b`` before |a|^2 + |b|^2 - 2ab
-    is expanded, so a large common offset does not cancel catastrophically.
-    """
-    scale = space.coord_scale
-    center = rows_b.mean(axis=0)
-    a = (rows_a - center) * scale
-    b = (rows_b - center) * scale
-    sq_a = np.einsum("ip,ip->i", a, a)
-    sq_b = np.einsum("ip,ip->i", b, b)
-    gram = a @ b.T
-    out = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
 def isotonic_projection(y: np.ndarray) -> np.ndarray:
     """L2 projection onto non-decreasing vectors (pool adjacent violators).
 
@@ -314,52 +295,3 @@ def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
     psd = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     psd = 0.5 * (psd + np.swapaxes(psd, -1, -2))
     return psd.reshape(raw.shape)
-
-
-def project(space: SpaceKind, raw: np.ndarray) -> ObjectPoint:
-    """Metric projection of a raw coordinate vector, as an ObjectPoint."""
-    return ObjectPoint(space, project_coordinates(space, raw))
-
-
-def weighted_barycenter(points: list[ObjectPoint], weights: np.ndarray) -> ObjectPoint:
-    """Weighted Frechet barycenter argmin_w sum_j w_j d^2(w, x_j).
-
-    Weights must sum to 1 (within 1e-10) but may be negative, e.g. when
-    derived from eigenfunction values.  Because the weight sum is 1 the
-    coordinatewise weighted average remains the unconstrained minimizer
-    of the quadratic objective even with signed weights, so the exact
-    solution is that average followed by metric projection onto the
-    constraint set.
-
-    Parameters
-    ----------
-    points : list of ObjectPoint
-        At least one point; all in the same space.
-    weights : array_like
-        Same length as ``points``; sums to 1 within 1e-10.
-
-    Raises
-    ------
-    EmptyInput
-        If ``points`` is empty.
-    BadWeights
-        If the weights do not match or do not sum to 1.
-    SpaceMismatch
-        If the points live in different spaces.
-    """
-    if len(points) == 0:
-        raise EmptyInput("weighted_barycenter needs at least one point")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(points),):
-        raise BadWeights(f"{len(points)} points but weight shape {weights.shape}")
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise BadWeights(f"weights sum to {total!r}, expected 1")
-    space = points[0].space
-    for p in points[1:]:
-        if p.space != space:
-            raise SpaceMismatch("barycenter points must share a space")
-
-    stacked = np.stack([p.data for p in points])
-    average = weights @ stacked
-    return project(space, average)

@@ -3,7 +3,11 @@
 Nothing here imports the estimator paths it is meant to check: the
 classical covariance is computed by centering, the lattice search by
 enumeration, quadrature by numpy's trapezoid, and file bytes by the
-per-scalar writer that the vectorised one replaced.
+per-scalar writer that the vectorised one replaced.  The Frechet
+integral is checked by a Riemann-sum search over explicit candidates,
+the batched simulators by one-trajectory builders that assemble the
+values themselves, and the network design's eigenvalues by a
+brute-force Monte Carlo over trajectory pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,23 @@ import numpy as np
 from scipy.linalg import eigh as scipy_eigh
 from scipy.special import ndtri
 
+from ofpca import (
+    NetworkSimConfig,
+    ObjectPoint,
+    ObjectTrajectory,
+    adjacency_space,
+    quantile_space,
+    trapezoid_weights,
+    true_eigensystem,
+)
 from ofpca.errors import InvalidObject
+from ofpca.sim import (
+    NETWORK_COMMUNITY,
+    NETWORK_NODES,
+    distribution_curve_params,
+    network_curve_params,
+    quantile_probes,
+)
 
 
 def classical_cross_covariance(X: np.ndarray) -> np.ndarray:
@@ -120,6 +140,145 @@ def mc_pair_kernel_mean(draw_pair_d2, n_draws: int, rng) -> tuple[float, float]:
     d2_cross_a, d2_cross_b, d2_self_a, d2_self_b = draw_pair_d2(rng, n_draws)
     vals = 0.25 * (d2_cross_a + d2_cross_b - d2_self_a - d2_self_b)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_draws))
+
+
+def cross_squared_distances(space, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """All pairwise squared distances between two stacks of coordinate rows.
+
+    ``rows_a`` is (na, L), ``rows_b`` is (nb, L); returns (na, nb).  Both
+    stacks are centered on the mean of ``rows_b`` before |a|^2 + |b|^2 - 2ab
+    is expanded, so a large common offset does not cancel catastrophically.
+    """
+    scale = space.coord_scale
+    center = rows_b.mean(axis=0)
+    a = (rows_a - center) * scale
+    b = (rows_b - center) * scale
+    sq_a = np.einsum("ip,ip->i", a, a)
+    sq_b = np.einsum("ip,ip->i", b, b)
+    gram = a @ b.T
+    out = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def riemann_sum_minimizer(
+    traj: ObjectTrajectory,
+    phi_star: np.ndarray,
+    candidates: list[ObjectPoint] | None = None,
+    quad_weights: np.ndarray | None = None,
+) -> ObjectPoint:
+    """Minimizer of the discretized Frechet-integral objective over an
+    explicit candidate set.
+
+    Evaluates sum_k d^2(omega, X(t_k)) phi_star(t_k) w_k for every
+    candidate omega and returns the first minimizer.  Works in any space because it only
+    needs distances; with a dense candidate lattice it converges to the
+    exact Frechet integral as the grid refines, which makes it the
+    oracle for ``object_fpc``.  When ``candidates`` is omitted the
+    trajectory's own observed objects are searched.
+    """
+    if candidates is None:
+        candidates = [traj.point(k) for k in range(traj.n_times)]
+    if len(candidates) == 0:
+        raise ValueError("riemann_sum_minimizer needs at least one candidate")
+    if quad_weights is None:
+        quad_weights = trapezoid_weights(traj.time_grid)
+    phi_star = np.asarray(phi_star, dtype=float)
+    rows = np.stack([c.data for c in candidates])
+    d2 = cross_squared_distances(traj.space, rows, traj.values)
+    objective = d2 @ (phi_star * quad_weights)
+    return candidates[int(np.argmin(objective))]
+
+
+def distribution_trajectory(u, v, w, z, time_grid, m: int) -> ObjectTrajectory:
+    """One quantile-vector trajectory from explicit factor draws: the
+    Gaussian quantiles sigma(t) * probes + mu(t)."""
+    mu, sigma = distribution_curve_params(u, v, w, z, time_grid)
+    values = sigma[:, None] * quantile_probes(m) + mu[:, None]
+    return ObjectTrajectory(quantile_space(m), np.asarray(time_grid, float), values)
+
+
+def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
+    """One adjacency-matrix trajectory from explicit factor draws: edge
+    weight p1 inside the first community, p2 inside the second, 0.1
+    across, zero diagonal."""
+    p1, p2 = network_curve_params(u, v, w, z, time_grid)
+    c = NETWORK_COMMUNITY
+    mats = np.full((p1.size, NETWORK_NODES, NETWORK_NODES), 0.1)
+    mats[:, :c, :c] = p1[:, None, None]
+    mats[:, c:, c:] = p2[:, None, None]
+    idx = np.arange(NETWORK_NODES)
+    mats[:, idx, idx] = 0.0
+    return ObjectTrajectory(adjacency_space(NETWORK_NODES), np.asarray(time_grid, float),
+                            mats.reshape(p1.size, -1))
+
+
+def network_population_eigenvalue(
+    j: int, n_draws: int = 1_000_000, n_times: int = 51, seed: int = 2024
+) -> float:
+    """Brute-force Monte-Carlo estimate of the j-th population eigenvalue
+    of the network design.
+
+    Draws independent trajectory pairs, evaluates the pairwise
+    covariance kernel on the grid, and projects it onto the j-th true
+    direction.  Distances are computed through the two within-community
+    edge-weight curves; that reduction is verified against full
+    adjacency matrices on a subsample before being trusted for the bulk
+    of the draws.
+    """
+    truth = true_eigensystem(NetworkSimConfig(n=2, n_times=n_times))
+    grid = truth.time_grid
+    g = truth.quad_weights * truth.eigenfunctions[j - 1]
+    g_total = g.sum()
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    def draw_curves(size):
+        u = rng.uniform(0.0, 0.4, size)
+        v = rng.uniform(0.0, 0.1, size)
+        wd = rng.uniform(0.0, 0.3, size)
+        z = rng.uniform(0.0, 0.1, size)
+        return network_curve_params(u, v, wd, z, grid), (u, v, wd, z)
+
+    def projected_cross(p1x, p2x, p1y, p2y):
+        # sum_{s,t} g_s g_t d^2(X(s), Y(t)) with d^2 expanded per channel;
+        # 20 off-diagonal entries carry each within-community weight
+        out = 0.0
+        for px, py in ((p1x, p1y), (p2x, p2y)):
+            a_x = (px * px) @ g
+            a_y = (py * py) @ g
+            b_x = px @ g
+            b_y = py @ g
+            out = out + 20.0 * (g_total * a_x + g_total * a_y - 2.0 * b_x * b_y)
+        return out
+
+    # verify the two-channel reduction against full matrices
+    (p1a, p2a), (ua, va, wa, za) = draw_curves(64)
+    (p1b, p2b), (ub, vb, wb, zb) = draw_curves(64)
+    for idx in range(8):
+        ta = network_trajectory(ua[idx], va[idx], wa[idx], za[idx], grid)
+        tb = network_trajectory(ub[idx], vb[idx], wb[idx], zb[idx], grid)
+        diff = ta.values[:, None, :] - tb.values[None, :, :]
+        d2_full = np.einsum("stp,stp->st", diff, diff)
+        d2_fast = (
+            20.0 * (p1a[idx][:, None] - p1b[idx][None, :]) ** 2
+            + 20.0 * (p2a[idx][:, None] - p2b[idx][None, :]) ** 2
+        )
+        if np.abs(d2_full - d2_fast).max() > 1e-10:
+            raise InvalidObject("network distance reduction failed validation")
+
+    total = 0.0
+    chunk = 50_000
+    done = 0
+    while done < n_draws:
+        size = min(chunk, n_draws - done)
+        (p1x, p2x), _ = draw_curves(size)
+        (p1y, p2y), _ = draw_curves(size)
+        cross = projected_cross(p1x, p2x, p1y, p2y)
+        self_x = projected_cross(p1x, p2x, p1x, p2x)
+        self_y = projected_cross(p1y, p2y, p1y, p2y)
+        total += float(np.sum(0.25 * (2.0 * cross - self_x - self_y)))
+        done += size
+    return total / n_draws
 
 
 # Reference writer: the per-scalar formatter that `ofpca.io` used before

@@ -26,7 +26,6 @@ from ofpca import (
     object_fpc,
     quantile_space,
     reconstruct,
-    riemann_sum_minimizer,
     scalar_space,
     simulate_distributions,
     simulate_networks,
@@ -34,10 +33,15 @@ from ofpca import (
     trapezoid_weights,
 )
 from ofpca.cli import main as cli_main
-from ofpca.sim import network_population_eigenvalue, quadrature_orthonormalize
+from ofpca.sim import quadrature_orthonormalize
 from ofpca.spaces import project_coordinates
 
-from oracles import classical_cross_covariance, monotone_lattice
+from oracles import (
+    classical_cross_covariance,
+    monotone_lattice,
+    network_population_eigenvalue,
+    riemann_sum_minimizer,
+)
 
 
 def record(capsys, number, name, ok, elapsed, budget):

@@ -5,7 +5,6 @@ import pytest
 
 from ofpca import (
     EigenSystem,
-    EmptyInput,
     NonIntegrableEigenfunction,
     ObjectPoint,
     ObjectSample,
@@ -17,7 +16,6 @@ from ofpca import (
     normalize_eigenfunction,
     object_fpc,
     quantile_space,
-    riemann_sum_minimizer,
     scalar_space,
     squared_distance,
     sympsd_space,
@@ -25,7 +23,7 @@ from ofpca import (
 )
 from ofpca.sim import quadrature_orthonormalize
 
-from oracles import gaussian_quantiles, monotone_lattice
+from oracles import gaussian_quantiles, monotone_lattice, riemann_sum_minimizer
 
 
 def scalar_sample(X, grid=None):
@@ -259,7 +257,7 @@ class TestRiemannMinimizer:
     def test_empty_candidates(self):
         grid = np.linspace(0, 1, 5)
         traj = ObjectTrajectory(scalar_space(), grid, np.zeros((5, 1)))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError):
             riemann_sum_minimizer(traj, np.ones_like(grid), [])
 
     def test_error_halves_as_grid_doubles(self):

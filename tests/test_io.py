@@ -107,6 +107,16 @@ class TestTrajectoryFile:
         with pytest.raises(SchemaError, match="time_grid: non-numeric"):
             ofio.load_trajectory_file(path)
 
+    def test_bad_time_grid_is_named_before_an_invalid_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        ok = [[0.0, 1.0]] * 3
+        doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 0.5, 0.4],
+               "trajectories": [ok, ok, [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="time_grid: .*increasing") as exc:
+            ofio.load_trajectory_file(path)
+        assert exc.value.field == "time_grid"
+
     def test_project_on_load_repairs(self, tmp_path):
         path = tmp_path / "bad.json"
         doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 1.0],
@@ -220,6 +230,17 @@ class TestFitArtifact:
         ofio.write_json(loaded, round2)
         # identical values after a save/load/save cycle
         assert json.loads(path.read_text()) == json.loads(round2.read_text())
+
+    def test_time_grid_follows_the_trajectory_file_rule(self, tmp_path):
+        from ofpca import fit_fpca
+
+        sample = small_sample()
+        doc = ofio.fit_to_dict(fit_fpca(sample, n_components=2), sample.space)
+        doc["time_grid"] = doc["time_grid"][::-1]
+        path = tmp_path / "fit.json"
+        ofio.write_json(doc, path)
+        with pytest.raises(SchemaError, match="time_grid: .*increasing"):
+            ofio.load_fit_artifact(path)
 
 
 class TestCsv:

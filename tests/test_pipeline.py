@@ -139,8 +139,21 @@ class TestDegenerateDimensions:
             return ObjectTrajectory(space, grid, vals)
 
         sample = ObjectSample((traj(0.2), traj(0.8), traj(0.5)))
-        fit = fit_fpca(sample, n_components=2)
+        with pytest.warns(UserWarning, match="numerical rank"):
+            fit = fit_fpca(sample, n_components=2)
         assert np.all(np.isfinite(fit.scores))
+
+    @pytest.mark.parametrize("space", [scalar_space(), quantile_space(1),
+                                       adjacency_space(1), sympsd_space(1)],
+                             ids=lambda s: s.tag)
+    def test_dim_one_constant_sample_fits(self, space):
+        # a one-node network keeps no metric coordinates at all
+        grid = np.linspace(0, 1, 5)
+        sample = ObjectSample([ObjectTrajectory(space, grid, np.zeros((5, 1)))] * 3)
+        fit = fit_fpca(sample, n_components=1)
+        assert np.array_equal(fit.surface.values, np.zeros((5, 5)))
+        assert np.array_equal(fit.scores, np.zeros((3, 1)))
+        assert np.array_equal(fit.object_components[0], np.zeros((3, 1)))
 
     def test_explained_fraction_component_out_of_range(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """Simulation designs: bases, generators, population checks, MISE harness."""
 
+import ast
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -26,10 +28,7 @@ from ofpca.sim import (
     NETWORK_EIGENVALUES,
     distribution_curve_params,
     distribution_sim_basis,
-    distribution_trajectory,
     network_curve_params,
-    network_population_eigenvalue,
-    network_trajectory,
     quantile_probes,
     run_seed,
     _distribution_values,
@@ -37,7 +36,13 @@ from ofpca.sim import (
     _network_values,
 )
 
-from oracles import mc_pair_kernel_mean
+import oracles
+from oracles import (
+    distribution_trajectory,
+    mc_pair_kernel_mean,
+    network_population_eigenvalue,
+    network_trajectory,
+)
 
 
 class TestDistributionBasis:
@@ -169,6 +174,18 @@ class TestDistributionGenerator:
 
 class TestBatchedSimulation:
     """The batched generators against one trajectory built at a time."""
+
+    def test_oracles_import_no_private_ofpca_name(self):
+        # the one-trajectory builders must not share the batched helpers
+        # (_distribution_values, _network_values) that they check
+        tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module.startswith("ofpca")
+                   for alias in node.names if alias.name.startswith("_")]
+        private += [node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")]
+        assert not private
 
     @staticmethod
     def factor_streams(seed):

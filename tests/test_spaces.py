@@ -5,19 +5,19 @@ import pytest
 
 from ofpca import (
     BadWeights,
-    EmptyInput,
     InvalidObject,
     ObjectPoint,
+    ObjectTrajectory,
     SpaceMismatch,
     adjacency_space,
     distance,
     isotonic_projection,
-    project,
+    object_fpc,
     quantile_space,
     scalar_space,
     squared_distance,
     sympsd_space,
-    weighted_barycenter,
+    trapezoid_weights,
 )
 from ofpca.spaces import ADMISSION_TOL, project_coordinates, validate_block
 
@@ -98,12 +98,12 @@ class TestProjection:
 
     def test_psd_eigenvalue_clamp(self):
         raw = np.diag([1.0, -0.5]).reshape(-1)
-        p = project(sympsd_space(2), raw)
+        p = ObjectPoint(sympsd_space(2), project_coordinates(sympsd_space(2), raw))
         assert np.allclose(p.matrix(), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_adjacency_box_clamp(self):
         raw = np.array([0.0, 1.4, 1.4, 0.0])
-        p = project(adjacency_space(2), raw)
+        p = ObjectPoint(adjacency_space(2), project_coordinates(adjacency_space(2), raw))
         assert p.matrix()[0, 1] == 1.0
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
@@ -228,12 +228,19 @@ class TestValidation:
             p.data[0] = 2.0
 
 
+def barycenter(points, w):
+    """The barycenter of ``points`` with weights ``w``, as the object
+    component of the trajectory through them on linspace(0, 1, k) along
+    phi_star = w / trapezoid_weights, whose barycenter weights are ``w``."""
+    grid = np.linspace(0.0, 1.0, len(points))
+    traj = ObjectTrajectory(points[0].space, grid, np.stack([p.data for p in points]))
+    return object_fpc(traj, np.asarray(w) / trapezoid_weights(grid))
+
+
 class TestBarycenter:
     def test_two_scalars_midpoint(self):
         space = scalar_space()
-        out = weighted_barycenter(
-            [ObjectPoint(space, [0.0]), ObjectPoint(space, [2.0])], [0.5, 0.5]
-        )
+        out = barycenter([ObjectPoint(space, [0.0]), ObjectPoint(space, [2.0])], [0.5, 0.5])
         assert out.data[0] == 1.0
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
@@ -243,7 +250,7 @@ class TestBarycenter:
             pts = [random_point(space, rng) for _ in range(4)]
             w = rng.uniform(0.1, 1.0, size=4)
             w /= w.sum()
-            out = weighted_barycenter(pts, w)
+            out = barycenter(pts, w)
             avg = w @ np.stack([p.data for p in pts])
             assert np.abs(out.data - avg).max() <= 1e-12
 
@@ -253,7 +260,7 @@ class TestBarycenter:
         space = quantile_space(2)
         pts = [ObjectPoint(space, [0.0, 1.0]), ObjectPoint(space, [1.0, 1.0])]
         weights = np.array([-1.0, 2.0])
-        out = weighted_barycenter(pts, weights)
+        out = barycenter(pts, weights)
         assert np.allclose(out.data, [1.5, 1.5], atol=1e-12)
 
         lattice = monotone_lattice(2, np.linspace(0.0, 3.0, 61))
@@ -271,7 +278,7 @@ class TestBarycenter:
         rng = np.random.default_rng(17)
         pts = [random_point(space, rng) for _ in range(5)]
         w = np.array([1.2, -0.4, 0.5, -0.6, 0.3])
-        out = weighted_barycenter(pts, w)
+        out = barycenter(pts, w)
 
         def objective(point):
             return sum(wj * squared_distance(point, p) for wj, p in zip(w, pts))
@@ -279,22 +286,19 @@ class TestBarycenter:
         base = objective(out)
         for _ in range(100):
             noise = rng.normal(scale=0.3, size=space.data_len)
-            candidate = project(space, out.data + noise)
+            candidate = ObjectPoint(space, project_coordinates(space, out.data + noise))
             assert base <= objective(candidate) + 1e-10
-
-    def test_empty_points(self):
-        with pytest.raises(EmptyInput):
-            weighted_barycenter([], [])
 
     def test_bad_weight_sum(self):
         space = scalar_space()
         with pytest.raises(BadWeights):
-            weighted_barycenter([ObjectPoint(space, [1.0])], [0.5])
+            barycenter([ObjectPoint(space, [1.0]), ObjectPoint(space, [2.0])], [0.25, 0.25])
 
-    def test_mixed_spaces(self):
-        with pytest.raises(SpaceMismatch):
-            weighted_barycenter(
-                [ObjectPoint(scalar_space(), [1.0]),
-                 ObjectPoint(quantile_space(2), [0.0, 1.0])],
-                [0.5, 0.5],
-            )
+    def test_bad_weight_shape(self):
+        space = scalar_space()
+        grid = np.linspace(0.0, 1.0, 5)
+        traj = ObjectTrajectory(space, grid, grid[:, None])
+        with pytest.raises(BadWeights):
+            object_fpc(traj, np.ones(4))
+        with pytest.raises(BadWeights):
+            object_fpc(traj, np.ones(5), trapezoid_weights(grid)[:4])
