@@ -14,6 +14,7 @@ from .errors import (
     BadWeights,
     DegenerateSpectrum,
     DegenerateVariance,
+    InputError,
     InvalidObject,
     InvalidSurface,
     NonIntegrableEigenfunction,
@@ -77,6 +78,7 @@ __all__ = [
     "DistributionSimConfig",
     "EigenSystem",
     "FpcaFit",
+    "InputError",
     "InvalidObject",
     "InvalidSurface",
     "KernelSurface",

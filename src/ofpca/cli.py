@@ -5,10 +5,12 @@ pure given its input file, flags, and seed: re-running writes identical
 bytes, and the worker-thread count never changes results.
 
 Exit codes: 0 success (including partial fits, which set a status
-field), 2 input or schema error (an unreadable input or unwritable
-output path included), 3 internal numeric error.  Flags are checked by
-the library calls that use them (``--components`` outside [1, T],
-``--explained-fraction`` outside (0, 1] and a negative ``--seed`` exit 2).
+field), 2 an ``errors.InputError`` or an unreadable input or unwritable
+output path, 3 any other library or linear-algebra error.  Flags are
+checked by the library calls that use them (``--components`` outside
+[1, T], ``--explained-fraction`` outside (0, 1] and a negative
+``--seed`` exit 2).  An option that several commands take is declared
+once, in ``_SHARED_OPTIONS``.
 """
 
 from __future__ import annotations
@@ -21,94 +23,76 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import (
-    BadRank,
-    BadWeights,
-    InvalidObject,
-    OfpcaError,
-    SchemaError,
-    SpaceMismatch,
-    TooFewTrajectories,
-)
+from .errors import InputError, OfpcaError, SchemaError
 from .fpca import fit_fpca
-from .sim import (
-    DistributionSimConfig,
-    NetworkSimConfig,
-    mise_report,
-    simulate,
-)
+from .sim import DistributionSimConfig, NetworkSimConfig, mise_report, simulate
+from .spaces import SPACE_TAGS
 
-INPUT_ERRORS = (
-    SchemaError,
-    InvalidObject,
-    SpaceMismatch,
-    TooFewTrajectories,
-    BadRank,
-    BadWeights,
-)
+_SHARED_OPTIONS = {
+    "--design": dict(choices=("dist", "net"), required=True),
+    "--T": dict(type=int, default=51, dest="n_times", help="time-grid size"),
+    "--m": dict(type=int, default=100, help="quantile-grid size (dist only)"),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=None, help="accepted for compatibility; has no effect"),
+}
 
 
-def _add_common_fit_args(parser):
-    parser.add_argument("--space", choices=("scalar", "quantile", "adjacency", "sympsd"),
-                        default=None,
-                        help="assert the input file's space (guards against mixing files)")
-    parser.add_argument("--components", type=int, default=4, metavar="K",
-                        help="number of eigencomponents to retain, at most T; "
-                             "components above the surface's numerical rank are "
-                             "dropped with a warning (default 4)")
-    parser.add_argument("--explained-fraction", type=float, default=None, metavar="F",
-                        help="keep the smallest K whose cumulative explained "
-                             "fraction reaches F, in (0, 1] (capped by --components)")
-    parser.add_argument("--fpc-objects", action="store_true", default=True,
-                        help="compute per-trajectory object components (default)")
-    parser.add_argument("--no-fpc-objects", dest="fpc_objects", action="store_false")
-    parser.add_argument("--project-on-load", action="store_true",
-                        help="repair invalid objects by metric projection on load")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
+def _add_shared(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ofpca",
-        description="Functional PCA for metric-space-valued curves",
-    )
+        prog="ofpca", description="Functional PCA for metric-space-valued curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a trajectory file")
-    p_sim.add_argument("--design", choices=("dist", "net"), required=True)
+    p_sim.set_defaults(run=cmd_simulate)
+    _add_shared(p_sim, "--design")
     p_sim.add_argument("--n", type=int, required=True, help="sample size")
-    p_sim.add_argument("--T", type=int, default=51, dest="n_times", help="time-grid size")
-    p_sim.add_argument("--m", type=int, default=100, help="quantile-grid size (dist only)")
-    p_sim.add_argument("--seed", type=int, default=0)
+    _add_shared(p_sim, "--T", "--m", "--seed")
     p_sim.add_argument("--out", required=True, help="output JSON path")
 
-    p_fit = sub.add_parser("fit", help="fit a trajectory file")
-    p_fit.add_argument("input", help="trajectory JSON file")
-    _add_common_fit_args(p_fit)
-    p_fit.add_argument("--out", required=True, help="output directory")
-
-    p_scores = sub.add_parser("scores", help="fit and write only the scores CSV")
-    p_scores.add_argument("input", help="trajectory JSON file")
-    _add_common_fit_args(p_scores)
-    p_scores.add_argument("--out", required=True, help="output CSV path")
+    for name, run, about, out_help in (
+        ("fit", cmd_fit, "fit a trajectory file", "output directory"),
+        ("scores", cmd_scores, "fit and write only the scores CSV", "output CSV path"),
+    ):
+        p_fit = sub.add_parser(name, help=about)
+        p_fit.set_defaults(run=run)
+        p_fit.add_argument("input", help="trajectory JSON file")
+        p_fit.add_argument("--space", choices=SPACE_TAGS, default=None,
+                           help="assert the input file's space (guards against mixing files)")
+        p_fit.add_argument("--components", type=int, default=4, metavar="K",
+                           help="number of eigencomponents to retain, at most T; "
+                                "components above the surface's numerical rank are "
+                                "dropped with a warning (default 4)")
+        p_fit.add_argument("--explained-fraction", type=float, default=None, metavar="F",
+                           help="keep the smallest K whose cumulative explained "
+                                "fraction reaches F, in (0, 1] (capped by --components)")
+        p_fit.add_argument("--fpc-objects", action="store_true", default=True,
+                           help="compute per-trajectory object components (default)")
+        p_fit.add_argument("--no-fpc-objects", dest="fpc_objects", action="store_false")
+        p_fit.add_argument("--project-on-load", action="store_true",
+                           help="repair invalid objects by metric projection on load")
+        _add_shared(p_fit, "--threads")
+        p_fit.add_argument("--out", required=True, help=out_help)
 
     p_mise = sub.add_parser("mise", help="Monte-Carlo error table for a design")
-    p_mise.add_argument("--design", choices=("dist", "net"), required=True)
+    p_mise.set_defaults(run=cmd_mise)
+    _add_shared(p_mise, "--design")
     p_mise.add_argument("--n", default="25,50,100",
                         help="comma-separated sample sizes (default 25,50,100)")
     p_mise.add_argument("--runs", type=int, default=100)
-    p_mise.add_argument("--T", type=int, default=51, dest="n_times")
-    p_mise.add_argument("--m", type=int, default=100)
-    p_mise.add_argument("--seed", type=int, default=0)
+    _add_shared(p_mise, "--T", "--m", "--seed")
     p_mise.add_argument("--components", type=int, default=3)
     p_mise.add_argument("--truth-debug", action="store_true",
                         help="feed the true surface into the eigen step (all errors ~ 0)")
-    p_mise.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
+    _add_shared(p_mise, "--threads")
     p_mise.add_argument("--out", required=True, help="output CSV path")
 
     p_export = sub.add_parser("export-plots", help="re-emit plot CSVs from a fit artifact")
+    p_export.set_defaults(run=cmd_export_plots)
     p_export.add_argument("artifact", help="fit.json produced by the fit command")
     p_export.add_argument("--out", required=True, help="output directory")
     return parser
@@ -130,18 +114,21 @@ def cmd_simulate(args) -> int:
 def _run_fit(args, fpc_objects):
     sample = io.load_trajectory_file(args.input, project_on_load=args.project_on_load)
     if args.space is not None and sample.space.tag != args.space:
-        raise SchemaError(
-            f"file holds {sample.space.tag!r} objects, --space says {args.space!r}"
-        )
+        raise SchemaError(f"file holds {sample.space.tag!r} objects, "
+                          f"--space says {args.space!r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_fpca(
-            sample,
-            n_components=args.components,
-            fpc_objects=fpc_objects,
-            explained_fraction=args.explained_fraction,
-        )
+        fit = fit_fpca(sample, n_components=args.components, fpc_objects=fpc_objects,
+                       explained_fraction=args.explained_fraction)
     return fit, [str(w.message) for w in caught]
+
+
+def _write_plot_csvs(doc, out: Path) -> None:
+    """The surface, eigenfunction and score CSVs of a fit document."""
+    io.write_surface_csv(out / "surface.csv", doc["time_grid"], doc["surface"])
+    io.write_eigenfunctions_csv(out / "eigenfunctions.csv", doc["time_grid"],
+                                doc["eigenfunctions"])
+    io.write_scores_csv(out / "scores.csv", doc["scores"])
 
 
 def cmd_fit(args) -> int:
@@ -150,10 +137,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     doc = io.fit_to_dict(fit, notes)
     io.write_json(doc, out / "fit.json")
-    io.write_surface_csv(out / "surface.csv", fit.surface.time_grid, fit.surface.values)
-    io.write_eigenfunctions_csv(out / "eigenfunctions.csv", fit.eigen.time_grid,
-                                fit.eigen.eigenfunctions)
-    io.write_scores_csv(out / "scores.csv", fit.scores)
+    _write_plot_csvs(doc, out)
     print(f"wrote {out / 'fit.json'} (status: {doc['status']})")
     return 0
 
@@ -173,10 +157,8 @@ def cmd_mise(args) -> int:
         raise SchemaError(f"--n must be comma-separated integers, got {args.n!r}")
     if not n_list:
         raise SchemaError("--n selected no sample sizes")
-    rows = []
-    for n in n_list:
-        rows.append(mise_report(_make_config(args, n), runs=args.runs,
-                                n_components=args.components, truth_debug=args.truth_debug))
+    rows = [mise_report(_make_config(args, n), runs=args.runs, n_components=args.components,
+                        truth_debug=args.truth_debug) for n in n_list]
     io.write_mise_csv(args.out, rows)
     print(f"wrote {args.out}")
     return 0
@@ -186,29 +168,16 @@ def cmd_export_plots(args) -> int:
     doc = io.load_fit_artifact(args.artifact)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_surface_csv(out / "surface.csv", doc["time_grid"], doc["surface"])
-    io.write_eigenfunctions_csv(out / "eigenfunctions.csv", doc["time_grid"],
-                                doc["eigenfunctions"])
-    io.write_scores_csv(out / "scores.csv", doc["scores"])
+    _write_plot_csvs(doc, out)
     print(f"wrote plot CSVs to {out}")
     return 0
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "scores": cmd_scores,
-    "mise": cmd_mise,
-    "export-plots": cmd_export_plots,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except (*INPUT_ERRORS, OSError) as exc:
+        return args.run(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OfpcaError, np.linalg.LinAlgError) as exc:

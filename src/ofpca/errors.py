@@ -1,23 +1,28 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library.  An ``InputError`` is the caller's
+fault (the command line exits 2); any other ``OfpcaError`` exits 3."""
 
 
 class OfpcaError(Exception):
     """Base class for all library errors."""
 
 
-class SpaceMismatch(OfpcaError):
+class InputError(OfpcaError):
+    """The caller's input is at fault, not the computation."""
+
+
+class SpaceMismatch(InputError):
     """Operands live in different metric spaces."""
 
 
-class InvalidObject(OfpcaError):
+class InvalidObject(InputError):
     """Data violates the invariants of its metric space."""
 
 
-class BadWeights(OfpcaError):
+class BadWeights(InputError):
     """Barycenter weights do not sum to one (or are malformed)."""
 
 
-class TooFewTrajectories(OfpcaError):
+class TooFewTrajectories(InputError):
     """The pairwise estimator needs at least two trajectories."""
 
 
@@ -25,7 +30,7 @@ class DegenerateVariance(OfpcaError):
     """A correlation margin has zero metric variance."""
 
 
-class BadRank(OfpcaError):
+class BadRank(InputError):
     """Requested more eigencomponents than grid points."""
 
 
@@ -42,7 +47,7 @@ class NonIntegrableEigenfunction(OfpcaError):
     principal component for this direction is undefined."""
 
 
-class SchemaError(OfpcaError):
+class SchemaError(InputError):
     """An input file does not match the expected schema."""
 
     def __init__(self, message, field=None):

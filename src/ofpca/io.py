@@ -258,18 +258,14 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     try:
         return ObjectSample._from_values(space, grid, values)
     except InvalidObject as exc:
-        raise SchemaError(str(exc), field=_rejected_field(space, values)) from exc
-
-
-def _rejected_field(space: SpaceKind, values: np.ndarray) -> str:
-    """The field that the block validation of a loaded sample rejected:
-    the first trajectory whose objects are invalid (the time grid passed
-    its check before any trajectory was validated)."""
-    for i, traj in enumerate(values):
-        try:
-            validate_block(space, traj)
-        except InvalidObject:
-            return f"trajectories[{i}]"
+        # the block check reports one fault of the whole sample; name the
+        # first invalid trajectory with the fault of its own check
+        for i, traj in enumerate(values):
+            try:
+                validate_block(space, traj)
+            except InvalidObject as own:
+                raise SchemaError(str(own), field=f"trajectories[{i}]") from exc
+        raise SchemaError(str(exc)) from exc
 
 
 def fit_to_dict(fit, warnings_list=()) -> dict:

@@ -50,8 +50,9 @@ _BLOCK_FLOATS = 1 << 16
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
-    """Composite trapezoid quadrature weights for a strictly increasing grid."""
-    t = np.asarray(time_grid, dtype=float)
+    """Composite trapezoid quadrature weights of a time grid; a grid that
+    is not strictly increasing inside [0, 1] raises InvalidObject."""
+    t = _check_time_grid(time_grid)
     w = np.empty_like(t)
     w[0] = 0.5 * (t[1] - t[0])
     w[-1] = 0.5 * (t[-1] - t[-2])

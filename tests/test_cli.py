@@ -1,17 +1,20 @@
 """Command-line interface: determinism, exit codes, golden regression."""
 
+import argparse
 import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
 import ofpca
-from ofpca.cli import main
+import ofpca.cli
+from ofpca.cli import build_parser, main
 from ofpca.io import save_trajectory_file
 from ofpca.kernel import _BLOCK_FLOATS
 
@@ -20,6 +23,66 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class TestCommandLineSurface:
+    """The options each command accepts, the defaults that change results,
+    and the exit code of each error class."""
+
+    FIT_OPTIONS = ["--space", "--components", "--explained-fraction", "--fpc-objects",
+                   "--no-fpc-objects", "--project-on-load", "--threads", "--out"]
+    OPTIONS = {
+        "simulate": ["--design", "--n", "--T", "--m", "--seed", "--out"],
+        "fit": ["input", *FIT_OPTIONS],
+        "scores": ["input", *FIT_OPTIONS],
+        "mise": ["--design", "--n", "--runs", "--T", "--m", "--seed", "--components",
+                 "--truth-debug", "--threads", "--out"],
+        "export-plots": ["artifact", "--out"],
+    }
+    # (argv with only the required arguments, defaults it must parse to)
+    DEFAULTS = [
+        (["simulate", "--design", "dist", "--n", "5"], dict(n_times=51, m=100, seed=0)),
+        (["fit", "in.json"], dict(components=4, fpc_objects=True, explained_fraction=None,
+                                  space=None, project_on_load=False, threads=None)),
+        (["scores", "in.json"], dict(components=4, fpc_objects=True)),
+        (["mise", "--design", "net"], dict(n="25,50,100", runs=100, n_times=51, m=100,
+                                           seed=0, components=3, truth_debug=False,
+                                           threads=None)),
+    ]
+    # the error classes that exit 2, with OSError; every other library
+    # error, and a failed linear-algebra routine, exit 3
+    INPUT_FAULTS = {"InputError", "SchemaError", "InvalidObject", "SpaceMismatch",
+                    "TooFewTrajectories", "BadRank", "BadWeights"}
+    NUMERIC_FAULTS = {"OfpcaError", "DegenerateVariance", "InvalidSurface",
+                      "DegenerateSpectrum", "NonIntegrableEigenfunction"}
+
+    def test_options_and_defaults(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(commands) == list(self.OPTIONS)
+        for name, sub in commands.items():
+            got = [flag for action in sub._actions if not isinstance(action, argparse._HelpAction)
+                   for flag in action.option_strings or [action.dest]]
+            assert got == self.OPTIONS[name], name
+        for argv, defaults in self.DEFAULTS:
+            args = vars(parser.parse_args(argv + ["--out", "out"]))
+            assert {key: args[key] for key in defaults} == defaults, argv[0]
+
+    def test_exit_code_of_each_error(self, tmp_path, monkeypatch, capsys):
+        errors = [obj for obj in vars(ofpca).values()
+                  if isinstance(obj, type) and issubclass(obj, ofpca.OfpcaError)]
+        assert {cls.__name__ for cls in errors} >= (self.INPUT_FAULTS - {"InputError"}
+                                                    | self.NUMERIC_FAULTS)
+        for cls in [*errors, np.linalg.LinAlgError, OSError]:
+            monkeypatch.setattr(ofpca.cli, "fit_fpca", Mock(side_effect=cls("boom")))
+            code = run(["fit", DATA / "scalar_fixture.json", "--out", tmp_path / "fit"])
+            err = capsys.readouterr().err
+            if cls.__name__ in self.INPUT_FAULTS or cls is OSError:
+                assert (code, err) == (2, "error: boom\n"), cls
+            else:
+                assert (code, err) == (3, "numeric error: boom\n"), cls
+        assert not (tmp_path / "fit").exists()
 
 
 class TestSimulateCommand:
@@ -114,10 +177,25 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "fit").exists()
 
-    def test_schema_error_exits_2(self, tmp_path):
+    def test_schema_error_exits_2(self, tmp_path, capsys):
+        head = '{"space": "scalar", "dim": 1, "time_grid": [0.0, 1.0], "trajectories": '
+        extra = head + '[[[0.0], [1.0]], [[1.0], [0.0]]]} {}'
+        zero = "[0, 0, 0, 0]"
+        cases = [
+            ('{"space": "scalar"}', "dim: missing required field"),
+            (head + "[[[NaN], [1.0]], [[0.0], [1.0]]]}", "trajectories[0]: values must be finite"),
+            (head + "[]}", "trajectories: trajectories must be non-empty"),
+            (extra, f"not valid JSON: Extra data at char {len(extra) - 2}"),
+            ('{"space": "adjacency", "dim": 2, "time_grid": [0.0, 1.0], "trajectories": '
+             f"[[[0, 1.5, 1.5, 0], {zero}], [{zero}, {zero}]]}}",
+             "trajectories[0]: adjacency entries outside [0, 1]"),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text('{"space": "scalar"}')
-        assert run(["fit", path, "--out", tmp_path / "fit"]) == 2
+        for text, message in cases:
+            path.write_text(text)
+            assert run(["fit", path, "--out", tmp_path / "fit"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fit").exists()
 
     def test_components_exceeding_grid_exits_2(self, tmp_path):
         doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 1.0],
@@ -303,9 +381,17 @@ class TestMiseCommand:
         assert lines[0] == "n,C,phi1,phi2,phi3,lambda1,lambda2,lambda3"
         assert len(lines) == 3
 
-    def test_bad_n_list_exits_2(self, tmp_path):
-        assert run(["mise", "--design", "dist", "--n", "a,b", "--runs", "1",
-                    "--out", tmp_path / "x.csv"]) == 2
+    def test_bad_n_list_exits_2(self, tmp_path, capsys):
+        # a sample-size list or a run count that selects no run
+        out = tmp_path / "x.csv"
+        for flags, message in (
+            (["--n", "a,b", "--runs", "1"], "--n must be comma-separated integers, got 'a,b'"),
+            (["--n", ",", "--runs", "1"], "--n selected no sample sizes"),
+            (["--n", "6", "--runs", "0"], "runs must be >= 1"),
+        ):
+            assert run(["mise", "--design", "dist", *flags, "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_components_beyond_design_rank_exits_2(self, tmp_path, capsys):
         out = tmp_path / "mise.csv"

@@ -117,16 +117,18 @@ class TestNormalize:
         assert np.abs(out - es.eigenfunctions[0]).max() <= 1e-12
 
     def test_integral_two_halves(self):
+        # phi = 1/2 + b (2t - 1) integrates to 1/2 (trapezoid quadrature is
+        # exact on linear functions, and 2t - 1 integrates to 0), and b
+        # makes it unit-norm; normalizing divides by 1/2
         grid = np.linspace(0, 1, 21)
         w = trapezoid_weights(grid)
-        phi = np.full_like(grid, 2.0)
-        basis = np.stack([phi / np.sqrt(np.dot(w, phi * phi))])
-        es = EigenSystem(np.array([1.0]), basis, grid)
-        # the unit-norm constant is 1, scaling by its integral is identity;
-        # force a function with integral 2 instead
-        doubled = EigenSystem(np.array([1.0]), basis, grid)
-        out = normalize_eigenfunction(doubled, 1)
-        assert np.dot(w, out) == pytest.approx(1.0, abs=1e-10)
+        b = np.sqrt(0.75 / np.dot(w, (2 * grid - 1) ** 2))
+        phi = 0.5 + b * (2 * grid - 1)
+        assert np.dot(w, phi * phi) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(w, phi) == pytest.approx(0.5, abs=1e-12)
+        out = normalize_eigenfunction(EigenSystem(np.array([1.0]), np.stack([phi]), grid), 1)
+        assert np.abs(out - 2.0 * phi).max() <= 1e-12
+        assert np.dot(w, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_direction_closed_form(self):
         # the linear direction c*t integrates to c/2, so its normalized

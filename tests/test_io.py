@@ -104,6 +104,25 @@ class TestTrajectoryFile:
         with pytest.raises(SchemaError, match=r"trajectories\[2\]: .*non-decreasing"):
             ofio.load_trajectory_file(path)
 
+    @pytest.mark.parametrize("first, message", [
+        ("diagonal", "adjacency diagonal not zero (max 0.5)"),
+        ("asymmetric", "matrix not symmetric (max asymmetry 0.5)"),
+    ], ids=["diagonal-first", "asymmetric-first"])
+    def test_named_trajectory_reports_its_own_fault(self, tmp_path, first, message):
+        # the whole-sample check meets the asymmetry before any diagonal,
+        # so its message may belong to a later trajectory than the named one
+        valid, diagonal, asymmetric = np.zeros((3, 3, 3))
+        diagonal[1, 1] = 0.5
+        asymmetric[0, 1] = 0.5
+        bad = [diagonal, asymmetric] if first == "diagonal" else [asymmetric, diagonal]
+        doc = {"space": "adjacency", "dim": 3, "time_grid": [0.0, 0.5, 1.0],
+               "trajectories": [[mat.ravel().tolist()] * 3 for mat in [valid, *bad]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            ofio.load_trajectory_file(path)
+        assert str(exc.value) == f"trajectories[1]: {message}"
+
     def test_bad_time_grid_is_named(self, tmp_path):
         path = tmp_path / "bad.json"
         doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 0.6, 0.5],

@@ -407,6 +407,12 @@ class TestSurfaceInvariants:
             EigenSystem([1.0], [[1.0]], [0.5])
         with pytest.raises(InvalidObject):
             EigenSystem([1.0], [[1.0, 1.0, 1.0]], [0.0, 0.5, 0.2])
+        # so do the weights themselves: a decreasing step would give a
+        # negative weight, and one point has no step at all
+        with pytest.raises(InvalidObject):
+            trapezoid_weights([0.0, 0.5, 0.2])
+        with pytest.raises(InvalidObject):
+            trapezoid_weights([0.5])
 
     @pytest.mark.parametrize("make", [
         lambda grid, *w: KernelSurface(grid, np.eye(grid.size), *w),
