@@ -40,7 +40,6 @@ from .kernel import (
     metric_correlation,
     metric_covariance,
     metric_variance,
-    pair_kernel,
     total_variance,
     trapezoid_weights,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "network_sim_basis",
     "normalize_eigenfunction",
     "object_fpc",
-    "pair_kernel",
     "quantile_space",
     "reconstruct",
     "scalar_space",

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadRank, DegenerateSpectrum, InvalidSurface
-from .kernel import KernelSurface, _check_time_grid, trapezoid_weights
+from .kernel import KernelSurface, _check_time_grid, _trapezoid
 
 #: Below this absolute value an eigenfunction integral counts as zero
 #: for the sign convention.
@@ -69,7 +69,7 @@ class EigenSystem:
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
-        w = trapezoid_weights(self.time_grid)
+        w = _trapezoid(self.time_grid)
         w.flags.writeable = False
         return w
 

@@ -6,9 +6,11 @@ of squared distances to the trajectory.  In the convex spaces provided
 here that minimizer is computed exactly as the signed-weight barycenter
 of the trajectory's objects, in :func:`_frechet_integrals` alone; a
 Riemann-sum search over explicit candidates in ``tests/oracles.py``
-checks it.  Each stage takes the sample's (n, T, L) array whole: the
+checks it.  Each stage batches over the sample's (n, T, L) array: the
 object components of all n trajectories along one direction are one
-average and one projection.
+average and one projection, and the distance curves are filled one
+block of trajectories at a time (``kernel._blocks``), so that a fit
+holds no temporary the size of the sample.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .kernel import (
     KernelSurface,
     ObjectSample,
     ObjectTrajectory,
+    _blocks,
+    _trapezoid,
     estimate_cov_surface,
-    trapezoid_weights,
 )
 from .spaces import ObjectPoint, project_coordinates
 
@@ -70,7 +73,7 @@ def object_fpc(traj: ObjectTrajectory, phi_star: np.ndarray) -> ObjectPoint:
     weights w_k * phi_star(t_k) may be signed.  Exact in the convex
     spaces provided here (average, then project).
     """
-    w = trapezoid_weights(traj.time_grid)
+    w = _trapezoid(traj.time_grid)
     return ObjectPoint(traj.space, _frechet_integrals(traj.space, traj.values, w, phi_star))
 
 
@@ -89,10 +92,18 @@ def _frechet_integrals(space, values, quad_weights, phi_star) -> np.ndarray:
 
 
 def distance_curves(sample: ObjectSample, mean: ObjectTrajectory) -> np.ndarray:
-    """(n, T) matrix of distances from each trajectory to the mean curve."""
+    """(n, T) matrix of distances from each trajectory to the mean curve,
+    filled one block of trajectories at a time."""
+    values = sample.stacked_values
+    n, T, L = values.shape
     scale = sample.space.coord_scale
-    diff = (sample.stacked_values - mean.values[None, :, :]) * scale
-    return np.sqrt(np.einsum("itp,itp->it", diff, diff))
+    curves = np.empty((n, T))
+    for rows in _blocks(n, T * L):
+        diff = values[rows] - mean.values
+        diff *= scale
+        curves[rows] = np.sqrt(np.einsum("itp,itp->it", diff, diff))
+        del diff  # so that one block is alive at a time
+    return curves
 
 
 def frechet_scores(

@@ -5,20 +5,22 @@ reals with 17 significant digits, so each float round-trips exactly and
 each integer below 2**53 prints as an integer; NaN or inf raises
 InvalidObject.  The writers are deterministic byte for byte for a fixed
 input.  JSON files are read as UTF-8 text in 1 MiB chunks, never whole,
-and each element of a trajectory file's `trajectories` becomes a float
-array as soon as it is decoded, so its parsed document is never held
-whole either; text that is not UTF-8, not JSON or nested too deep is a
-SchemaError that gives the offset of the fault in the file.  A
-trajectory file loads into one (n, T, L) array, validated once as a
-block.  A fit artifact read back for `export-plots` has its plotted
-fields checked for type and shape; a malformed one is a SchemaError.
+and each element of a trajectory file's `trajectories` is copied into
+one (n, T, L) float array as soon as it is decoded, so neither the
+parsed document nor a list of per-trajectory arrays is ever held whole:
+a load peaks at the sample plus that array's growth as it fills.  Text
+that is not UTF-8, not JSON or nested too deep is a SchemaError that
+gives the offset of the fault in the file.  The filled array is
+validated once as a block.  A fit artifact read back for `export-plots`
+has its plotted fields checked for type and shape; a malformed one is a
+SchemaError.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -166,10 +168,10 @@ class _JsonChunks:
                 return obj
 
 
-def _read_object(path, stream_key: str | None = None, convert=None) -> dict:
+def _read_object(path, stream_key: str | None = None, collect=None) -> dict:
     """The top-level object of a JSON file.  An array under ``stream_key``
-    becomes the list of ``convert(i, element)``, each called as soon as
-    its element is decoded."""
+    becomes ``collect(elements)``, where ``elements`` yields each element
+    as soon as it is decoded; ``collect`` must exhaust it."""
     doc = {}
     with open(path, encoding="utf-8", newline="") as fh:
         js = _JsonChunks(fh)
@@ -184,7 +186,7 @@ def _read_object(path, stream_key: str | None = None, convert=None) -> dict:
             js.take(":", "':' delimiter")
             if key == stream_key and js.peek() == "[":
                 js.pos += 1
-                doc[key] = [convert(i, js.value()) for i, _ in enumerate(js.items("]"))]
+                doc[key] = collect(js.value() for _ in js.items("]"))
             else:
                 doc[key] = js.value()
         if js.peek():
@@ -208,12 +210,16 @@ def _real_array(value, field: str, shape: tuple) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"non-numeric data: {exc}", field=field) from exc
-    if arr.ndim != len(shape) or any(w != g for w, g in zip(shape, arr.shape) if w != "*"):
-        want = ", ".join(map(str, shape))
-        raise SchemaError(f"expected shape ({want}), got {arr.shape}", field=field)
+    _check_shape(arr.shape, field, shape)
     if not np.isfinite(arr).all():
         raise SchemaError("values must be finite", field=field)
     return arr
+
+
+def _check_shape(got: tuple, field: str, shape: tuple) -> None:
+    if len(got) != len(shape) or any(w != g for w, g in zip(shape, got) if w != "*"):
+        want = ", ".join(map(str, shape))
+        raise SchemaError(f"expected shape ({want}), got {got}", field=field)
 
 
 def _time_grid(value) -> np.ndarray:
@@ -230,6 +236,43 @@ def save_trajectory_file(sample: ObjectSample, path) -> None:
     write_json(doc, path)
 
 
+class _Trajectories(NamedTuple):
+    """A streamed ``trajectories`` array.  ``values`` (n, T, L) holds its
+    elements up to the first whose shape is not element 0's; ``misfit``
+    is that element's index and shape, or None.  ``values`` is None when
+    the array is empty."""
+
+    values: np.ndarray | None
+    misfit: tuple[int, tuple] | None
+
+
+def _fill_trajectories(elements) -> _Trajectories:
+    """Each element as a finite 2-d float array, copied into one array
+    with the first element's shape as it is decoded.  Elements from the
+    first misfit on are still checked, but not kept."""
+    arrays = (_real_array(raw, f"trajectories[{i}]", ("*", "*"))
+              for i, raw in enumerate(elements))
+    first = next(arrays, None)
+    if first is None:
+        return _Trajectories(None, None)
+    misfit = None
+
+    def fitting():
+        nonlocal misfit
+        yield first
+        for i, arr in enumerate(arrays, 1):
+            if misfit is None and arr.shape != first.shape:
+                misfit = i, arr.shape
+            if misfit is None:
+                yield arr
+
+    # a first element with no values gives fromiter no item size, and it
+    # never has the (T >= 2, L >= 1) shape that a sample needs
+    values = (np.fromiter(fitting(), np.dtype((float, first.shape))) if first.size
+              else np.array(list(fitting())))
+    return _Trajectories(values, misfit)
+
+
 def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     """Parse and validate a trajectory JSON file.
 
@@ -237,8 +280,7 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     projected onto its space's constraint set, repairing invalid input
     instead of rejecting it.
     """
-    doc = _read_object(path, "trajectories",
-                       lambda i, raw: _real_array(raw, f"trajectories[{i}]", ("*", "*")))
+    doc = _read_object(path, "trajectories", _fill_trajectories)
     tag = _require(doc, "space", str)
     if tag not in SPACE_TAGS:
         raise SchemaError(f"unknown space {tag!r}", field="space")
@@ -246,13 +288,17 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     space = SpaceKind(tag, dim)
 
     grid = _time_grid(_require(doc, "time_grid"))
-    trajs = _require(doc, "trajectories", list)
-    if not trajs:
+    trajs = doc.get("trajectories")
+    if not isinstance(trajs, _Trajectories):
+        _require(doc, "trajectories", list)  # missing, or not an array: raises
+    if trajs.values is None:
         raise SchemaError("trajectories must be non-empty", field="trajectories")
+    values, misfit = trajs
+    del doc, trajs  # ``values`` alone holds the sample, so a repair frees it
     shape = (grid.size, space.data_len)
-    values = np.stack([_real_array(raw, f"trajectories[{i}]", shape)
-                       for i, raw in enumerate(trajs)])
-    del doc, trajs  # free the per-trajectory arrays before validation allocates
+    _check_shape(values.shape[1:], "trajectories[0]", shape)
+    if misfit is not None:
+        _check_shape(misfit[1], f"trajectories[{misfit[0]}]", shape)
     if project_on_load:
         values = project_coordinates(space, values)
     try:

@@ -24,9 +24,11 @@ array of about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k)
 cost, with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
 r(r+1)/2 for sympsd, and no temporary the size of the sample.
 Centering first also keeps the result accurate for curves with a large
-common offset.  :func:`pair_kernel` keeps the distance-only form as a
-test oracle.  An :class:`ObjectSample` is one read-only (n, T, L)
-array, validated once as a block, so every stage can batch over it.
+common offset.  ``_blocks`` cuts the trajectories into those blocks;
+the distance curves of ``ofpca.fpca`` use it too.  The distance-only
+pair kernel is kept as a test oracle in ``tests/oracles.py``.  An
+:class:`ObjectSample` is one read-only (n, T, L) array, validated once
+as a block, so every stage can batch over it.
 """
 
 from __future__ import annotations
@@ -45,14 +47,26 @@ from .errors import (
 )
 from .spaces import ObjectPoint, SpaceKind, validate_block
 
-#: Floats (512 KiB) per block of :func:`estimate_cov_surface`.
+#: Floats (512 KiB) per block of trajectories (``_blocks``).
 _BLOCK_FLOATS = 1 << 16
+
+
+def _blocks(n: int, floats_per_trajectory: int):
+    """Slices of consecutive trajectories out of n, each of about
+    ``_BLOCK_FLOATS`` floats and at least one trajectory."""
+    step = max(1, _BLOCK_FLOATS // floats_per_trajectory)
+    for i in range(0, n, step):
+        yield slice(i, i + step)
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
     """Composite trapezoid quadrature weights of a time grid; a grid that
     is not strictly increasing inside [0, 1] raises InvalidObject."""
-    t = _check_time_grid(time_grid)
+    return _trapezoid(_check_time_grid(time_grid))
+
+
+def _trapezoid(t: np.ndarray) -> np.ndarray:
+    """The trapezoid weights of a grid that has passed ``_check_time_grid``."""
     w = np.empty_like(t)
     w[0] = 0.5 * (t[1] - t[0])
     w[-1] = 0.5 * (t[-1] - t[-2])
@@ -187,41 +201,13 @@ class KernelSurface:
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
-        w = trapezoid_weights(self.time_grid)
+        w = _trapezoid(self.time_grid)
         w.flags.writeable = False
         return w
 
     @property
     def n_times(self) -> int:
         return self.time_grid.size
-
-
-def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int) -> float:
-    """The symmetrized squared-distance kernel for one trajectory pair at
-    one pair of grid indices.
-
-    Symmetric under swapping the trajectories and under swapping the
-    indices, and zero when x and y are the same trajectory.  Curves that
-    are constant in time give 2 d^2(a, b): values at different times are
-    then perfectly dependent.
-    """
-    if x.space != y.space:
-        raise SpaceMismatch("pair kernel needs trajectories in one space")
-    T = x.n_times
-    if not (0 <= s_idx < T and 0 <= t_idx < T):
-        raise IndexError(f"grid indices ({s_idx}, {t_idx}) out of range for T={T}")
-    scale = x.space.coord_scale
-
-    def sq(u, v):
-        diff = (u - v) * scale
-        return float(np.dot(diff, diff))
-
-    return (
-        sq(x.values[s_idx], y.values[t_idx])
-        + sq(y.values[s_idx], x.values[t_idx])
-        - sq(x.values[s_idx], x.values[t_idx])
-        - sq(y.values[s_idx], y.values[t_idx])
-    )
 
 
 def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
@@ -232,12 +218,11 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
     n, T, _ = values.shape
     keep, w = sample.space.metric_coordinates()
     mean = values.mean(axis=0)[:, None, keep]
-    # a one-node network keeps no coordinates: its blocks are empty, its surface zero
-    step = max(1, _BLOCK_FLOATS // (T * max(w.size, 1)))
     surface = np.zeros((T, T))
-    for i in range(0, n, step):
+    # a one-node network keeps no coordinates: its blocks are empty, its surface zero
+    for rows in _blocks(n, T * max(w.size, 1)):
         # (T, b, k) as a C-ordered copy or a T-fastest gather: a view either way
-        block = values[i:i + step].transpose(1, 0, 2)
+        block = values[rows].transpose(1, 0, 2)
         X = block.copy() if isinstance(keep, slice) else block[..., keep]
         X -= mean
         X *= w

@@ -1,19 +1,22 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here imports the estimator paths it is meant to check: the
-classical covariance is computed by centering, the lattice search by
-enumeration, quadrature by numpy's trapezoid, and file bytes by the
-per-scalar writer that the vectorised one replaced.  The Frechet
-integral is checked by a Riemann-sum search over explicit candidates,
-the batched simulators by one-trajectory builders that assemble the
-values themselves, and the network design's eigenvalues by a
-brute-force Monte Carlo over trajectory pairs.
+classical covariance is computed by centering, the U-statistic by the
+distance-only pair kernel, the lattice search by enumeration,
+quadrature by numpy's trapezoid, and file bytes by the per-scalar
+writer that the vectorised one replaced.  The Frechet integral is
+checked by a Riemann-sum search over explicit candidates, the batched
+simulators by one-trajectory builders that assemble the values
+themselves, and the network design's eigenvalues by a brute-force Monte
+Carlo over trajectory pairs.  ``traced_peak`` measures the memory
+bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 from scipy.linalg import eigh as scipy_eigh
@@ -28,7 +31,7 @@ from ofpca import (
     trapezoid_weights,
     true_eigensystem,
 )
-from ofpca.errors import InvalidObject
+from ofpca.errors import InvalidObject, SpaceMismatch
 from ofpca.sim import (
     NETWORK_COMMUNITY,
     NETWORK_NODES,
@@ -60,6 +63,56 @@ def reference_cov_surface(sample) -> np.ndarray:
     X = X.reshape(T, n * L)
     surface = X @ X.T * sample.space.coord_scale**2 / (n - 1)
     return 0.5 * (surface + surface.T)
+
+
+def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int) -> float:
+    """The symmetrized squared-distance kernel for one trajectory pair at
+    one pair of grid indices:
+
+        f_{s,t}(x, y) = d^2(x(s), y(t)) + d^2(y(s), x(t))
+                        - d^2(x(s), x(t)) - d^2(y(s), y(t)).
+
+    Symmetric under swapping the trajectories and under swapping the
+    indices, and zero when x and y are the same trajectory.  Curves that
+    are constant in time give 2 d^2(a, b): values at different times are
+    then perfectly dependent.
+    """
+    if x.space != y.space:
+        raise SpaceMismatch("pair kernel needs trajectories in one space")
+    T = x.n_times
+    if not (0 <= s_idx < T and 0 <= t_idx < T):
+        raise IndexError(f"grid indices ({s_idx}, {t_idx}) out of range for T={T}")
+    scale = x.space.coord_scale
+
+    def sq(u, v):
+        diff = (u - v) * scale
+        return float(np.dot(diff, diff))
+
+    return (
+        sq(x.values[s_idx], y.values[t_idx])
+        + sq(y.values[s_idx], x.values[t_idx])
+        - sq(x.values[s_idx], x.values[t_idx])
+        - sq(y.values[s_idx], y.values[t_idx])
+    )
+
+
+def reference_distance_curves(sample, mean) -> np.ndarray:
+    """The distance curves as ``distance_curves`` computed them before it
+    went block by block, kept verbatim: one whole-sample difference."""
+    scale = sample.space.coord_scale
+    diff = (sample.stacked_values - mean.values[None, :, :]) * scale
+    return np.sqrt(np.einsum("itp,itp->it", diff, diff))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that numpy and Python
+    allocated during the call, in bytes, as ``(result, peak)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pearson_unbiased(u: np.ndarray, v: np.ndarray) -> float:

@@ -9,7 +9,6 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
-    distance,
     fit_fpca,
     frechet_mean_trajectory,
     frechet_scores,

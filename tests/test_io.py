@@ -1,7 +1,6 @@
 """Serialization: float round-trips, schemas, file round-trips."""
 
 import json
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,6 +16,8 @@ from ofpca import (
     sympsd_space,
 )
 from ofpca import io as ofio
+
+from oracles import traced_peak
 
 
 class TestFloats:
@@ -135,6 +136,22 @@ class TestTrajectoryFile:
         with pytest.raises(SchemaError, match="time_grid: non-numeric"):
             ofio.load_trajectory_file(path)
 
+    def test_later_misshapen_trajectory_is_named_after_the_time_grid(self, tmp_path):
+        # the shape of a trajectory is checked against the time grid, so a
+        # bad grid is reported first; then the first misshapen one is named
+        path = tmp_path / "bad.json"
+        ok, wide = [[0.0, 1.0]] * 3, [[0.0, 1.0, 2.0]] * 3
+        doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 0.5, 0.4],
+               "trajectories": [ok, ok, wide, ok, [[0.0, 1.0]] * 2]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="time_grid: .*increasing"):
+            ofio.load_trajectory_file(path)
+        doc["time_grid"] = [0.0, 0.5, 1.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            ofio.load_trajectory_file(path)
+        assert str(exc.value) == "trajectories[2]: expected shape (3, 2), got (3, 3)"
+
     def test_bad_time_grid_is_named_before_an_invalid_object(self, tmp_path):
         path = tmp_path / "bad.json"
         ok = [[0.0, 1.0]] * 3
@@ -181,22 +198,19 @@ class TestTrajectoryFile:
         with pytest.raises(SchemaError, match=f"not UTF-8 .* at byte {at}$"):
             ofio.load_trajectory_file(path)
 
-    def test_load_holds_about_twice_the_sample(self, tmp_path):
-        # neither the file's text nor its parsed document is held whole:
-        # the element arrays and their stack are the peak
+    @pytest.mark.parametrize("n", [200, 257])
+    def test_load_fills_one_array(self, tmp_path, n):
+        # neither the file's text, its parsed document nor a list of the
+        # element arrays is held whole: the one (n, T, L) array, grown as
+        # it fills, is the peak
         quantiles = np.sort(np.random.default_rng(4).normal(size=(51, 100)), axis=1)
         path = tmp_path / "sample.json"
-        trajectories = ", ".join([ofio.dumps(quantiles)] * 200)
+        trajectories = ", ".join([ofio.dumps(quantiles)] * n)
         path.write_text('{"space": "quantile", "dim": 100, "time_grid": %s, "trajectories": [%s]}'
                         % (ofio.dumps(np.linspace(0, 1, 51)), trajectories))
-        tracemalloc.start()
-        try:
-            sample = ofio.load_trajectory_file(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sample.stacked_values.shape == (200, 51, 100)
-        assert peak <= 2.5 * sample.stacked_values.nbytes
+        sample, peak = traced_peak(ofio.load_trajectory_file, path)
+        assert sample.stacked_values.shape == (n, 51, 100)
+        assert peak <= 1.8 * sample.stacked_values.nbytes
 
 
 # Small trajectory files for the chunked reader, each with one trait a

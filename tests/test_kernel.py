@@ -1,6 +1,5 @@
 """Auto-covariance U-statistic and related kernels against classical oracles."""
 
-import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -19,11 +18,13 @@ from ofpca import (
     SpaceMismatch,
     TooFewTrajectories,
     adjacency_space,
+    distance_curves,
     estimate_cov_surface,
+    fit_fpca,
+    frechet_mean_trajectory,
     metric_correlation,
     metric_covariance,
     metric_variance,
-    pair_kernel,
     quantile_space,
     scalar_space,
     squared_distance,
@@ -35,7 +36,14 @@ from ofpca import (
 from ofpca.kernel import _BLOCK_FLOATS
 from ofpca.spaces import ADMISSION_TOL
 
-from oracles import classical_cross_covariance, pearson_unbiased, reference_cov_surface
+from oracles import (
+    classical_cross_covariance,
+    pair_kernel,
+    pearson_unbiased,
+    reference_cov_surface,
+    reference_distance_curves,
+    traced_peak,
+)
 
 
 def scalar_sample(X, grid=None):
@@ -520,13 +528,12 @@ class TestSampleFromValues:
         # than one, and the surface a few blocks (TestBlockedSurface)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(10), (100, 51))
-        tracemalloc.start()
-        try:
+        def admit_and_estimate():
             sample = ObjectSample._from_values(space, grid, values)
             estimate_cov_surface(sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return sample
+
+        sample, peak = traced_peak(admit_and_estimate)
         assert sample.stacked_values.shape == (100, 51, space.data_len)
         assert peak < 1.5 * values.nbytes
 
@@ -586,10 +593,36 @@ class TestBlockedSurface:
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(11), (n, 51))
         sample = ObjectSample._from_values(space, grid, values)
-        tracemalloc.start()
-        try:
-            estimate_cov_surface(sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(estimate_cov_surface, sample)
+        assert peak < 0.25 * values.nbytes
+
+
+class TestBlockedDistanceCurves:
+    """distance_curves fills its (n, T) output one block of trajectories at
+    a time; each row's arithmetic is the whole-sample formula's, so the
+    bytes must match it, and a fit must hold no sample-sized temporary."""
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES, ids=lambda sp: sp.tag)
+    @pytest.mark.parametrize("blocks", ["n=2", "block-1", "block", "block+1", "3 blocks+1"])
+    def test_bit_equal_to_reference(self, space, blocks):
+        T = 51
+        b = _BLOCK_FLOATS // (T * space.data_len)
+        assert b >= 3
+        n = {"n=2": 2, "block-1": b - 1, "block": b, "block+1": b + 1,
+             "3 blocks+1": 3 * b + 1}[blocks]
+        values = random_objects(space, np.random.default_rng(n), (n, T))
+        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        mean = frechet_mean_trajectory(sample)
+        got = distance_curves(sample, mean)
+        assert got.shape == (n, T)
+        assert got.tobytes() == reference_distance_curves(sample, mean).tobytes()
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES[1:], ids=lambda sp: sp.tag)
+    @pytest.mark.parametrize("n", [100, 1600])
+    def test_fit_holds_a_fraction_of_the_sample(self, space, n):
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(12), (n, 51))
+        sample = ObjectSample._from_values(space, grid, values)
+        fit, peak = traced_peak(fit_fpca, sample, 4, False)
+        assert fit.distance_curves.shape == (n, 51)
         assert peak < 0.25 * values.nbytes

@@ -2,7 +2,6 @@
 
 import ast
 import pathlib
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +41,7 @@ from oracles import (
     mc_pair_kernel_mean,
     network_population_eigenvalue,
     network_trajectory,
+    traced_peak,
 )
 
 
@@ -255,15 +255,10 @@ class TestBatchedSimulation:
         # a sample-sized temporary per term made every simulated sample
         # allocate, fault in and free several arrays of its own size
         p = np.linspace(0.2, 0.8, 100 * 51).reshape(100, 51)
-        tracemalloc.start()
-        try:
-            if design == "dist":
-                values = _distribution_values(p, p, quantile_probes(100))
-            else:
-                values = _network_values(p, p[::-1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if design == "dist":
+            values, peak = traced_peak(_distribution_values, p, p, quantile_probes(100))
+        else:
+            values, peak = traced_peak(_network_values, p, p[::-1])
         assert values.shape == (100, 51, 100)
         assert peak < 1.5 * values.nbytes
 
