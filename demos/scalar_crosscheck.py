@@ -20,9 +20,7 @@ loadings = rng.normal(size=(n, 2)) * np.array([1.5, 0.7])
 X = loadings @ shapes + 0.1 * rng.normal(size=(n, T))
 
 space = of.scalar_space()
-sample = of.ObjectSample(tuple(
-    of.ObjectTrajectory(space, grid, X[i][:, None]) for i in range(n)
-))
+sample = of.ObjectSample(space, grid, X[..., None])
 
 # 1. covariance surface == classical unbiased cross-covariance
 surface = of.estimate_cov_surface(sample)

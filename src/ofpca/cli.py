@@ -70,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_fit.add_argument("--explained-fraction", type=float, default=None, metavar="F",
                            help="keep the smallest K whose cumulative explained "
                                 "fraction reaches F, in (0, 1] (capped by --components)")
-        p_fit.add_argument("--fpc-objects", action="store_true", default=True,
-                           help="compute per-trajectory object components (default)")
-        p_fit.add_argument("--no-fpc-objects", dest="fpc_objects", action="store_false")
+        p_fit.add_argument("--fpc-objects", action=argparse.BooleanOptionalAction, default=True,
+                           help="compute per-trajectory object components (on by default)")
         p_fit.add_argument("--project-on-load", action="store_true",
                            help="repair invalid objects by metric projection on load")
         _add_shared(p_fit, "--threads")

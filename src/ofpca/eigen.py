@@ -85,7 +85,14 @@ class EigenSystem:
 
     def integral(self, j: int) -> float:
         """Quadrature integral of the j-th eigenfunction (1-based j)."""
+        _check_component(self, j)
         return float(np.dot(self.quad_weights, self.eigenfunctions[j - 1]))
+
+
+def _check_component(es: EigenSystem, j: int) -> None:
+    """Raise BadRank unless j (1-based) names a retained component."""
+    if not (1 <= j <= es.num_retained):
+        raise BadRank(f"component {j} not retained (K={es.num_retained})")
 
 
 def apply_sign_convention(funs: np.ndarray, quad_weights: np.ndarray) -> np.ndarray:
@@ -153,8 +160,7 @@ def explained_fraction(es: EigenSystem, j: int) -> float:
     retained or not, sum to 1, and a component's fraction does not depend
     on how many components were retained.
     """
-    if not (1 <= j <= es.num_retained):
-        raise BadRank(f"component {j} not retained (K={es.num_retained})")
+    _check_component(es, j)
     if es.spectrum_total <= 0.0:
         raise DegenerateSpectrum("all clipped eigenvalues are zero")
     return float(es.explained_fractions[j - 1])

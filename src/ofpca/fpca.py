@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigen import EigenSystem, eigendecompose
-from .errors import BadRank, BadWeights, NonIntegrableEigenfunction
+from .errors import BadRank, BadWeights, InvalidObject, NonIntegrableEigenfunction, SpaceMismatch
 from .kernel import (
     KernelSurface,
     ObjectSample,
@@ -91,9 +91,18 @@ def _frechet_integrals(space, values, quad_weights, phi_star) -> np.ndarray:
     return project_coordinates(space, weights @ values)
 
 
+def _check_grid(sample: ObjectSample, time_grid: np.ndarray, what: str) -> None:
+    if not np.array_equal(time_grid, sample.time_grid):
+        raise InvalidObject(f"{what} is on another time grid than the sample")
+
+
 def distance_curves(sample: ObjectSample, mean: ObjectTrajectory) -> np.ndarray:
     """(n, T) matrix of distances from each trajectory to the mean curve,
-    filled one block of trajectories at a time."""
+    filled one block of trajectories at a time.  A mean in another space
+    raises SpaceMismatch, one on another time grid InvalidObject."""
+    if mean.space != sample.space:
+        raise SpaceMismatch("the mean curve is in another space than the sample")
+    _check_grid(sample, mean.time_grid, "the mean curve")
     values = sample.stacked_values
     n, T, L = values.shape
     scale = sample.space.coord_scale
@@ -114,8 +123,10 @@ def frechet_scores(
 
     Returns an (n, K) matrix; row i, column j holds
     sum_k w_k d(X_i(t_k), mean(t_k)) phi_j(t_k).  Distances enter
-    unsquared.
+    unsquared.  ``mean`` and ``es`` must be on the sample's space and
+    time grid (see :func:`distance_curves`).
     """
+    _check_grid(sample, es.time_grid, "the eigensystem")
     return _project_curves(distance_curves(sample, mean), es)
 
 

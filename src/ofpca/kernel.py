@@ -27,8 +27,9 @@ Centering first also keeps the result accurate for curves with a large
 common offset.  ``_blocks`` cuts the trajectories into those blocks;
 the distance curves of ``ofpca.fpca`` use it too.  The distance-only
 pair kernel is kept as a test oracle in ``tests/oracles.py``.  An
-:class:`ObjectSample` is one read-only (n, T, L) array, validated once
-as a block, so every stage can batch over it.
+:class:`ObjectSample` is built from one (n, T, L) array, which it
+copies once, validates as a block and keeps read-only, so every stage
+can batch over it.
 """
 
 from __future__ import annotations
@@ -87,18 +88,22 @@ def _check_time_grid(time_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def _admitted(space: SpaceKind, time_grid, values: np.ndarray, ndim: int):
-    """The checked time grid and ``values`` ((T, L) with ndim 2, or
-    (n, T, L) with ndim 3) validated as one block, both read-only.
+def _admit(obj, field: str, values: np.ndarray, ndim: int) -> None:
+    """Check ``obj``'s time grid and ``values`` ((T, L) with ndim 2, or
+    (n >= 2, T, L) with ndim 3), validate (and repair within tolerance)
+    ``values`` as one block, and set both on the frozen ``obj`` read-only.
     ``values`` is frozen in place, so the caller must own it."""
-    t = _check_time_grid(time_grid).copy()
-    if values.ndim != ndim or values.shape[-2:] != (t.size, space.data_len):
+    t = _check_time_grid(obj.time_grid).copy()
+    if values.ndim != ndim or values.shape[-2:] != (t.size, obj.space.data_len):
         raise InvalidObject(
-            f"values must have shape (..., T={t.size}, {space.data_len}), got {values.shape}"
+            f"values must have shape (..., T={t.size}, {obj.space.data_len}), got {values.shape}"
         )
-    values = validate_block(space, values)
+    if ndim == 3 and values.shape[0] < 2:
+        raise TooFewTrajectories("a sample needs at least two trajectories")
+    values = validate_block(obj.space, values)
     t.flags.writeable = values.flags.writeable = False
-    return t, values
+    object.__setattr__(obj, "time_grid", t)
+    object.__setattr__(obj, field, values)
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,7 @@ class ObjectTrajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        t, vals = _admitted(self.space, self.time_grid, np.array(self.values, dtype=float), 2)
-        object.__setattr__(self, "time_grid", t)
-        object.__setattr__(self, "values", vals)
+        _admit(self, "values", np.array(self.values, dtype=float), 2)
 
     @property
     def n_times(self) -> int:
@@ -127,44 +130,29 @@ class ObjectTrajectory:
         return ObjectPoint(self.space, self.values[k])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ObjectSample:
     """n >= 2 trajectories on one space and time grid, held as one
     read-only (n, T, data_len) array ``stacked_values``; ``trajectories``
-    is a lazy view.  ``ObjectSample(trajectories)`` stacks validated
-    trajectories; simulation and file loading use :meth:`_from_values`.
+    is a lazy view.  The constructor copies ``stacked_values`` once and
+    validates the copy as one block, so the caller's array stays
+    writable and later writes to it do not reach the sample.
     """
 
     space: SpaceKind
     time_grid: np.ndarray
     stacked_values: np.ndarray
 
-    def __init__(self, trajectories):
-        trajs = tuple(trajectories)
-        if len(trajs) < 2:
-            raise TooFewTrajectories("a sample needs at least two trajectories")
-        first = trajs[0]
-        for tr in trajs[1:]:
-            if tr.space != first.space:
-                raise SpaceMismatch("sample trajectories must share a space")
-            if not np.array_equal(tr.time_grid, first.time_grid):
-                raise InvalidObject("sample trajectories must share the time grid")
-        values = np.stack([tr.values for tr in trajs])
-        values.flags.writeable = False
-        # the dataclass is frozen, so its fields go straight into __dict__
-        self.__dict__.update(space=first.space, time_grid=first.time_grid,
-                             stacked_values=values, trajectories=trajs)
+    def __post_init__(self):
+        _admit(self, "stacked_values", np.array(self.stacked_values, dtype=float), 3)
 
     @classmethod
     def _from_values(cls, space: SpaceKind, time_grid, values) -> "ObjectSample":
-        """A sample from an (n, T, data_len) array that the caller hands
-        over and no longer writes to: it is validated (and repaired
-        within tolerance) as one block and frozen in place."""
-        t, values = _admitted(space, time_grid, np.asarray(values, dtype=float), 3)
-        if values.shape[0] < 2:
-            raise TooFewTrajectories("a sample needs at least two trajectories")
+        """The constructor without its copy, for an array that the caller
+        hands over and no longer writes to: it is frozen in place."""
         sample = object.__new__(cls)
-        sample.__dict__.update(space=space, time_grid=t, stacked_values=values)
+        sample.__dict__.update(space=space, time_grid=time_grid)
+        _admit(sample, "stacked_values", np.asarray(values, dtype=float), 3)
         return sample
 
     @property

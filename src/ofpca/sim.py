@@ -187,6 +187,8 @@ def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
     with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
     W ~ sqrt(72) Unif(0, 1), Z ~ 3 Unif(0, 1)."""
+    if not isinstance(cfg, DistributionSimConfig):
+        raise InvalidObject(f"a DistributionSimConfig is needed, got {type(cfg).__name__}")
     draws = _factor_draws(cfg, ("normal", "normal", "uniform", "uniform"),
                           (np.sqrt(12.0), 1.0, np.sqrt(72.0), 3.0))
     grid = cfg.time_grid
@@ -232,6 +234,8 @@ def _network_values(p1, p2) -> np.ndarray:
 def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
     """Sample of two-community network trajectories with factor draws
     U ~ Unif(0, 0.4), V ~ Unif(0, 0.1), W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1)."""
+    if not isinstance(cfg, NetworkSimConfig):
+        raise InvalidObject(f"a NetworkSimConfig is needed, got {type(cfg).__name__}")
     draws = _factor_draws(cfg, ("uniform",) * 4, (0.4, 0.1, 0.3, 0.1))
     grid = cfg.time_grid
     values = _network_values(*network_curve_params(*draws, grid))

@@ -59,12 +59,9 @@ def detail(capsys, text):
 
 
 def scalar_sample(X, grid=None):
-    n, T = X.shape
     if grid is None:
-        grid = np.linspace(0.0, 1.0, T)
-    return ObjectSample(tuple(
-        ObjectTrajectory(scalar_space(), grid, X[i][:, None]) for i in range(n)
-    ))
+        grid = np.linspace(0.0, 1.0, X.shape[1])
+    return ObjectSample(scalar_space(), grid, X[..., None])
 
 
 def test_criterion_1_scalar_oracle_equivalence(capsys):

@@ -10,6 +10,7 @@ from ofpca import (
     KernelSurface,
     eigendecompose,
     explained_fraction,
+    normalize_eigenfunction,
     reconstruct,
     trapezoid_weights,
 )
@@ -121,6 +122,17 @@ class TestConventions:
             eigendecompose(surface, k=6)
         with pytest.raises(BadRank):
             eigendecompose(surface, k=0)
+
+    def test_component_index_checked(self):
+        # row j - 1 would silently read component K for j = 0
+        grid = np.linspace(0, 1, 21)
+        w = trapezoid_weights(grid)
+        es = eigendecompose(KernelSurface(grid, random_surface(grid, w, seed=2)), k=3)
+        for j in (0, -1, 4):
+            with pytest.raises(BadRank):
+                es.integral(j)
+            with pytest.raises(BadRank):
+                normalize_eigenfunction(es, j)
 
 
 class TestNegativeEigenvalues:

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from ofpca import (
+    DistributionSimConfig,
     EigenSystem,
+    InvalidObject,
+    NetworkSimConfig,
     NonIntegrableEigenfunction,
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
+    SpaceMismatch,
+    distance_curves,
     fit_fpca,
     frechet_mean_trajectory,
     frechet_scores,
@@ -16,6 +21,8 @@ from ofpca import (
     object_fpc,
     quantile_space,
     scalar_space,
+    simulate_distributions,
+    simulate_networks,
     squared_distance,
     sympsd_space,
     trapezoid_weights,
@@ -26,12 +33,9 @@ from oracles import gaussian_quantiles, monotone_lattice, riemann_sum_minimizer
 
 
 def scalar_sample(X, grid=None):
-    n, T = X.shape
     if grid is None:
-        grid = np.linspace(0.0, 1.0, T)
-    return ObjectSample(tuple(
-        ObjectTrajectory(scalar_space(), grid, X[i][:, None]) for i in range(n)
-    ))
+        grid = np.linspace(0.0, 1.0, X.shape[1])
+    return ObjectSample(scalar_space(), grid, X[..., None])
 
 
 def legendre_eigen(grid):
@@ -51,8 +55,7 @@ class TestMeanTrajectory:
     def test_identical_trajectories(self):
         grid = np.linspace(0, 1, 6)
         vals = np.sort(np.random.default_rng(0).normal(size=(6, 3)), axis=1)
-        tr = ObjectTrajectory(quantile_space(3), grid, vals)
-        sample = ObjectSample((tr, tr, tr))
+        sample = ObjectSample(quantile_space(3), grid, np.stack([vals] * 3))
         mean = frechet_mean_trajectory(sample)
         assert np.abs(mean.values - vals).max() <= 1e-15
 
@@ -68,9 +71,7 @@ class TestMeanTrajectory:
         grid = np.linspace(0, 1, 5)
         space = quantile_space(4)
         vals = np.sort(rng.normal(size=(7, 5, 4)), axis=2)
-        sample = ObjectSample(tuple(
-            ObjectTrajectory(space, grid, vals[i]) for i in range(7)
-        ))
+        sample = ObjectSample(space, grid, vals)
         mean = frechet_mean_trajectory(sample)
         assert np.abs(mean.values - vals.mean(axis=0)).max() <= 1e-12
 
@@ -79,9 +80,7 @@ class TestMeanTrajectory:
         grid = np.linspace(0, 1, 4)
         space = quantile_space(3)
         vals = np.sort(rng.normal(size=(6, 4, 3)), axis=2)
-        sample = ObjectSample(tuple(
-            ObjectTrajectory(space, grid, vals[i]) for i in range(6)
-        ))
+        sample = ObjectSample(space, grid, vals)
         mean = frechet_mean_trajectory(sample)
         for t in range(4):
             center = mean.point(t)
@@ -344,6 +343,24 @@ class TestScores:
         scores_perm = frechet_scores(scalar_sample(X[perm], grid), mean, es)
         assert np.abs(scores[perm] - scores_perm).max() <= 1e-14
 
+    def test_mean_and_eigensystem_must_fit_the_sample(self):
+        # both spaces hold 100 coordinates per object, both grids 11 times
+        sample = simulate_networks(NetworkSimConfig(n=6, n_times=11))
+        other = simulate_distributions(DistributionSimConfig(n=6, n_times=11, m=100))
+        mean = frechet_mean_trajectory(sample)
+        es = legendre_eigen(sample.time_grid)
+        foreign_mean = frechet_mean_trajectory(other)
+        shifted_mean = ObjectTrajectory(mean.space, np.linspace(0, 0.5, 11), mean.values)
+        for fn in (distance_curves, lambda s, m: frechet_scores(s, m, es)):
+            with pytest.raises(SpaceMismatch):
+                fn(sample, foreign_mean)
+            with pytest.raises(InvalidObject):
+                fn(sample, shifted_mean)
+        for grid in (np.linspace(0, 0.5, 11), np.linspace(0, 1, 12)):
+            with pytest.raises(InvalidObject):
+                frechet_scores(sample, mean, legendre_eigen(grid))
+        assert frechet_scores(sample, mean, es).shape == (6, 3)
+
 
 class TestFitPipeline:
     def test_fit_shapes_and_feasibility(self):
@@ -351,9 +368,7 @@ class TestFitPipeline:
         grid = np.linspace(0, 1, 13)
         space = quantile_space(5)
         vals = np.sort(rng.normal(size=(6, 13, 5)), axis=2)
-        sample = ObjectSample(tuple(
-            ObjectTrajectory(space, grid, vals[i]) for i in range(6)
-        ))
+        sample = ObjectSample(space, grid, vals)
         fit = fit_fpca(sample, n_components=3)
         assert fit.scores.shape == (6, 3)
         assert fit.distance_curves.shape == (6, 13)

@@ -9,7 +9,6 @@ import pytest
 
 from ofpca import (
     ObjectSample,
-    ObjectTrajectory,
     SchemaError,
     quantile_space,
     scalar_space,
@@ -43,7 +42,7 @@ def small_sample():
     space = quantile_space(3)
     rng = np.random.default_rng(0)
     vals = np.sort(rng.normal(size=(3, 4, 3)), axis=2)
-    return ObjectSample(tuple(ObjectTrajectory(space, grid, vals[i]) for i in range(3)))
+    return ObjectSample(space, grid, vals)
 
 
 class TestTrajectoryFile:

@@ -47,23 +47,14 @@ from oracles import (
 
 
 def scalar_sample(X, grid=None):
-    n, T = X.shape
     if grid is None:
-        grid = np.linspace(0.0, 1.0, T)
-    space = scalar_space()
-    return ObjectSample(tuple(
-        ObjectTrajectory(space, grid, X[i][:, None]) for i in range(n)
-    ))
+        grid = np.linspace(0.0, 1.0, X.shape[1])
+    return ObjectSample(scalar_space(), grid, X[..., None])
 
 
 def quantile_sample(rng, n, T, m):
-    grid = np.linspace(0.0, 1.0, T)
-    space = quantile_space(m)
-    trajs = []
-    for _ in range(n):
-        vals = np.sort(rng.normal(size=(T, m)), axis=1)
-        trajs.append(ObjectTrajectory(space, grid, vals))
-    return ObjectSample(tuple(trajs))
+    values = np.sort(rng.normal(size=(n, T, m)), axis=2)
+    return ObjectSample(quantile_space(m), np.linspace(0.0, 1.0, T), values)
 
 
 def random_objects(space, rng, shape):
@@ -209,7 +200,7 @@ class TestCovSurface:
         else:
             values = random_objects(space, rng, (n, T))
         grid = np.linspace(0.0, 1.0, T)
-        sample = ObjectSample(tuple(ObjectTrajectory(space, grid, v) for v in values))
+        sample = ObjectSample(space, grid, values)
         want = pair_kernel_surface(sample)
         got = estimate_cov_surface(sample).values
         assert np.abs(want).max() > 0.0
@@ -230,10 +221,8 @@ class TestCovSurface:
         assert np.all(w > 0)
 
     def test_too_few_trajectories(self):
-        grid = np.linspace(0, 1, 4)
-        tr = ObjectTrajectory(scalar_space(), grid, np.zeros((4, 1)))
         with pytest.raises(TooFewTrajectories):
-            ObjectSample((tr,))
+            ObjectSample(scalar_space(), np.linspace(0, 1, 4), np.zeros((1, 4, 1)))
 
 
 class TestMetricVariance:
@@ -438,18 +427,25 @@ class TestSurfaceInvariants:
         with pytest.raises(FrozenInstanceError):
             obj.quad_weights = w
 
-    def test_sample_requires_shared_grid(self):
-        a = ObjectTrajectory(scalar_space(), np.array([0.0, 1.0]), np.zeros((2, 1)))
-        b = ObjectTrajectory(scalar_space(), np.array([0.0, 0.5]), np.zeros((2, 1)))
-        with pytest.raises(InvalidObject):
-            ObjectSample((a, b))
-
 
 ALL_SPACES = [scalar_space(), quantile_space(4), adjacency_space(3), sympsd_space(3)]
 
 
-def per_trajectory_sample(space, grid, values):
-    return ObjectSample(tuple(ObjectTrajectory(space, grid, v) for v in values))
+def per_trajectory_values(space, grid, values):
+    """The reference admission of an (n, T, L) array: at least two rows,
+    each admitted as its own ObjectTrajectory, stacked."""
+    if len(values) < 2:
+        raise TooFewTrajectories("a sample needs at least two trajectories")
+    return np.stack([ObjectTrajectory(space, grid, v).values for v in values])
+
+
+#: The two ways to build a sample from an array the test keeps: the
+#: public constructor copies it, ``_from_values`` freezes a copy in place.
+ENTRY_POINTS = {
+    "constructor": ObjectSample,
+    "_from_values": lambda space, grid, values: ObjectSample._from_values(
+        space, grid, values.copy()),
+}
 
 
 def nudged(space, values, size):
@@ -467,9 +463,9 @@ def nudged(space, values, size):
 
 
 class TestSampleFromValues:
-    """ObjectSample._from_values validates an (n, T, L) array as one block
-    and must admit, repair and reject exactly as the per-trajectory
-    constructors do."""
+    """ObjectSample and ObjectSample._from_values validate an (n, T, L)
+    array as one block and must admit, repair and reject exactly as
+    per-row ObjectTrajectory construction does."""
 
     @staticmethod
     def cases(space):
@@ -493,32 +489,49 @@ class TestSampleFromValues:
     def test_raises_like_constructors(self, space):
         for name, (grid, values) in self.cases(space).items():
             with pytest.raises(OfpcaError) as want:
-                per_trajectory_sample(space, grid, values)
-            with pytest.raises(OfpcaError) as got:
-                ObjectSample._from_values(space, grid, values.copy())
-            assert type(got.value) is type(want.value), name
-        with pytest.raises(InvalidObject):
-            ObjectSample._from_values(space, np.linspace(0.0, 1.0, 5), np.zeros((4, 5)))
+                per_trajectory_values(space, grid, values)
+            for entry, build in ENTRY_POINTS.items():
+                with pytest.raises(OfpcaError) as got:
+                    build(space, grid, values)
+                assert type(got.value) is type(want.value), (name, entry)
+        for build in ENTRY_POINTS.values():
+            with pytest.raises(InvalidObject):
+                build(space, np.linspace(0.0, 1.0, 5), np.zeros((4, 5)))
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda sp: sp.tag)
     def test_repairs_like_constructors(self, space):
         grid = np.linspace(0.0, 1.0, 5)
         values = nudged(space, random_objects(space, np.random.default_rng(9), (4, 5)), 5e-11)
-        want = per_trajectory_sample(space, grid, values).stacked_values
-        got = ObjectSample._from_values(space, grid, values.copy())
-        assert got.stacked_values.tobytes() == want.tobytes()
-        assert space.tag == "scalar" or not np.array_equal(got.stacked_values, values)
-        assert got.n == 4 and got.space == space
-        assert not got.stacked_values.flags.writeable
-        assert np.array_equal(got.trajectories[1].values, want[1])
+        given = values.copy()
+        want = per_trajectory_values(space, grid, values)
+        for entry, build in ENTRY_POINTS.items():
+            got = build(space, grid, values)
+            assert got.stacked_values.tobytes() == want.tobytes(), entry
+            assert space.tag == "scalar" or not np.array_equal(got.stacked_values, values)
+            assert np.array_equal(values, given) and values.flags.writeable
+            assert got.n == 4 and got.space == space
+            assert not got.stacked_values.flags.writeable
+            assert np.array_equal(got.trajectories[1].values, want[1])
 
     def test_constructor_leaves_caller_arrays_writeable(self):
-        values = np.zeros((3, 1))
-        tr = ObjectTrajectory(scalar_space(), np.linspace(0.0, 1.0, 3), values)
-        sample = ObjectSample((tr, tr))
-        assert values.flags.writeable
-        assert sample.trajectories == (tr, tr)
+        grid = np.linspace(0.0, 1.0, 3)
+        values = np.zeros((2, 3, 1))
+        sample = ObjectSample(scalar_space(), grid, values)
+        assert values.flags.writeable and grid.flags.writeable
+        values[0] = 1.0
+        grid[0] = 0.5
+        assert not sample.stacked_values.any()
+        assert sample.time_grid[0] == 0.0
         assert sample.stacked_values.shape == (2, 3, 1)
+
+    def test_constructor_makes_one_copy(self):
+        # one copy plus the block check's temporaries; a second copy would hold 2x
+        space = quantile_space(100)
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(13), (400, 51))
+        sample, peak = traced_peak(ObjectSample, space, grid, values)
+        assert sample.stacked_values.shape == values.shape
+        assert peak < 1.25 * values.nbytes
 
     @pytest.mark.parametrize("space", [quantile_space(100), adjacency_space(10)],
                              ids=lambda sp: sp.tag)

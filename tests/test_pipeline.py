@@ -11,7 +11,6 @@ from ofpca import (
     BadRank,
     ObjectPoint,
     ObjectSample,
-    ObjectTrajectory,
     adjacency_space,
     distance,
     eigendecompose,
@@ -40,9 +39,7 @@ class TestNonUniformGrid:
 
     def sample(self, rng, n=12):
         X = rng.normal(size=(n, self.GRID.size))
-        return ObjectSample(tuple(
-            ObjectTrajectory(scalar_space(), self.GRID, X[i][:, None]) for i in range(n)
-        )), X
+        return ObjectSample(scalar_space(), self.GRID, X[..., None]), X
 
     def test_surface_matches_classical_oracle(self):
         rng = np.random.default_rng(0)
@@ -76,8 +73,8 @@ class TestMatrixSpacesEndToEnd:
             for t in grid:
                 a = base + 0.5 * t * rng.normal(size=(r, r))
                 mats.append((a @ a.T).reshape(-1))
-            trajs.append(ObjectTrajectory(space, grid, np.stack(mats)))
-        return ObjectSample(tuple(trajs))
+            trajs.append(np.stack(mats))
+        return ObjectSample(space, grid, np.stack(trajs))
 
     def test_psd_fit_components_stay_psd(self):
         rng = np.random.default_rng(3)
@@ -134,11 +131,9 @@ class TestDegenerateDimensions:
         grid = np.linspace(0, 1, 4)
         space = adjacency_space(2)
 
-        def traj(w):
-            vals = np.stack([np.array([0.0, w * t, w * t, 0.0]) for t in grid])
-            return ObjectTrajectory(space, grid, vals)
-
-        sample = ObjectSample((traj(0.2), traj(0.8), traj(0.5)))
+        vals = np.zeros((3, 4, 4))
+        vals[..., 1] = vals[..., 2] = np.array([0.2, 0.8, 0.5])[:, None] * grid
+        sample = ObjectSample(space, grid, vals)
         with pytest.warns(UserWarning, match="numerical rank"):
             fit = fit_fpca(sample, n_components=2)
         assert np.all(np.isfinite(fit.scores))
@@ -149,7 +144,7 @@ class TestDegenerateDimensions:
     def test_dim_one_constant_sample_fits(self, space):
         # a one-node network keeps no metric coordinates at all
         grid = np.linspace(0, 1, 5)
-        sample = ObjectSample([ObjectTrajectory(space, grid, np.zeros((5, 1)))] * 3)
+        sample = ObjectSample(space, grid, np.zeros((3, 5, 1)))
         fit = fit_fpca(sample, n_components=1)
         assert np.array_equal(fit.surface.values, np.zeros((5, 5)))
         assert np.array_equal(fit.scores, np.zeros((3, 1)))
@@ -159,9 +154,7 @@ class TestDegenerateDimensions:
         rng = np.random.default_rng(5)
         grid = np.linspace(0, 1, 8)
         X = rng.normal(size=(5, 8))
-        sample = ObjectSample(tuple(
-            ObjectTrajectory(scalar_space(), grid, X[i][:, None]) for i in range(5)
-        ))
+        sample = ObjectSample(scalar_space(), grid, X[..., None])
         es = eigendecompose(estimate_cov_surface(sample), k=3)
         with pytest.raises(BadRank):
             explained_fraction(es, 4)

@@ -103,7 +103,8 @@ class TestDistributionGenerator:
         assert np.abs(tr.values - tr.values[0]).max() == 0.0
         other = distribution_trajectory(0.0, 0.0, 0.0, 0.0, grid, m=15)
         from ofpca import ObjectSample
-        surface = estimate_cov_surface(ObjectSample((tr, other)))
+        sample = ObjectSample(tr.space, grid, np.stack([tr.values, other.values]))
+        surface = estimate_cov_surface(sample)
         assert np.abs(surface.values).max() == 0.0
 
     def test_reproducible_and_prefix_stable(self):
@@ -370,6 +371,12 @@ class TestTruth:
     def test_unknown_config_rejected(self):
         with pytest.raises(InvalidObject):
             true_eigensystem(object())
+
+    def test_simulators_reject_the_other_design(self):
+        with pytest.raises(InvalidObject):
+            simulate_networks(DistributionSimConfig(n=5, m=7))
+        with pytest.raises(InvalidObject):
+            simulate_distributions(NetworkSimConfig(n=5))
 
 
 class TestMiseHarness:
