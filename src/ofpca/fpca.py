@@ -28,6 +28,7 @@ from .kernel import (
     ObjectSample,
     ObjectTrajectory,
     _blocks,
+    _coordinate_mean,
     _trapezoid,
     estimate_cov_surface,
 )
@@ -45,7 +46,7 @@ def frechet_mean_trajectory(sample: ObjectSample) -> ObjectTrajectory:
     sample slice: the coordinatewise average followed by metric
     projection (a no-op for convex combinations up to rounding).
     """
-    avg = sample.stacked_values.mean(axis=0)
+    avg = _coordinate_mean(sample.stacked_values)
     return ObjectTrajectory(sample.space, sample.time_grid, project_coordinates(sample.space, avg))
 
 

@@ -18,10 +18,11 @@ the coordinate curves:
 
     C_hat(s, t) = 1/(n-1) * sum_i <Z_i(s) - Zbar(s), Z_i(t) - Zbar(t)>.
 
-:func:`estimate_cov_surface` takes the mean first, then adds the
-product of each centered, weighted block of trajectories, a (T, b k)
-array of about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k)
-cost, with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
+:func:`estimate_cov_surface` takes the mean first, in one pass in the
+sample's own memory order (``_coordinate_mean``), then adds the product
+of each centered, weighted block of trajectories, a (T, b k) array of
+about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k) cost,
+with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
 r(r+1)/2 for sympsd, and no temporary the size of the sample.
 Centering first also keeps the result accurate for curves with a large
 common offset.  ``_blocks`` cuts the trajectories into those blocks;
@@ -58,6 +59,12 @@ def _blocks(n: int, floats_per_trajectory: int):
     step = max(1, _BLOCK_FLOATS // floats_per_trajectory)
     for i in range(0, n, step):
         yield slice(i, i + step)
+
+
+def _coordinate_mean(values: np.ndarray) -> np.ndarray:
+    """``values.mean(axis=0)``, bit for bit on C order and on the network
+    simulator's coordinate-outermost layout, on which ``mean`` is slow."""
+    return np.einsum("i...->...", values) / values.shape[0]
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
@@ -205,7 +212,7 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
     values = sample.stacked_values
     n, T, _ = values.shape
     keep, w = sample.space.metric_coordinates()
-    mean = values.mean(axis=0)[:, None, keep]
+    mean = _coordinate_mean(values)[:, None, keep]
     surface = np.zeros((T, T))
     # a one-node network keeps no coordinates: its blocks are empty, its surface zero
     for rows in _blocks(n, T * max(w.size, 1)):

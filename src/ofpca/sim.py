@@ -12,8 +12,9 @@ only the first i + 1 draws of each stream, so enlarging a sample extends
 it without reshuffling earlier trajectories.  The values of a whole
 sample are built in one broadcast over the draws, bit for bit equal to
 the one-trajectory builders of ``tests/oracles.py``, and validated once
-as one block.  The brute-force population-eigenvalue oracle lives there
-too: no command runs it.
+as one block.  The network directions are computed once per time grid,
+so a Monte-Carlo run rebuilds none of its invariants.  The brute-force
+population-eigenvalue oracle lives there too: no command runs it.
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def network_sim_basis(j: int, t) -> np.ndarray:
         raise InvalidObject(f"network basis index must be 1, 2 or 3, got {j}")
     t = np.asarray(t, dtype=float)
     return _network_basis_raw(j, t) / _network_basis_norm(j)
+
+
+@lru_cache(maxsize=16)
+def _network_directions(grid: bytes) -> np.ndarray:
+    """The three directions on the time grid with float64 bytes ``grid``, read-only."""
+    directions = np.stack([network_sim_basis(j, np.frombuffer(grid)) for j in (1, 2, 3)])
+    directions.flags.writeable = False
+    return directions
 
 
 @dataclass(frozen=True)
@@ -200,9 +209,8 @@ def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
 def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
     """Within-community edge-weight curves (p1, p2) for the given factor
     draws, clamped to [0, 1]; broadcasts over leading axes."""
-    phi1 = network_sim_basis(1, time_grid)
-    phi2 = network_sim_basis(2, time_grid)
-    phi3 = network_sim_basis(3, time_grid)
+    t = np.asarray(time_grid, dtype=float)
+    phi1, phi2, phi3 = _network_directions(t.tobytes()).reshape((3,) + t.shape)
     u, v, w, z = (np.asarray(a, dtype=float)[..., None] for a in (u, v, w, z))
     p1 = np.clip(0.5 + u * phi1 + v * phi3, 0.0, 1.0)
     p2 = np.clip(0.5 + w * phi2 + z * phi3, 0.0, 1.0)
@@ -278,7 +286,7 @@ def true_eigensystem(cfg) -> EigenSystem:
         vals, basis = DISTRIBUTION_EIGENVALUES, distribution_sim_basis(cfg.time_grid)
     elif isinstance(cfg, NetworkSimConfig):
         vals = NETWORK_EIGENVALUES
-        basis = np.stack([network_sim_basis(j, cfg.time_grid) for j in (1, 2, 3)])
+        basis = _network_directions(cfg.time_grid.tobytes())
     else:
         raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
     w = trapezoid_weights(cfg.time_grid)

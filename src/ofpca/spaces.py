@@ -23,6 +23,7 @@ with a midpoint rule, so its quadrature error is O(1/m).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,11 +87,9 @@ class SpaceKind:
         """Coordinates ``keep`` and weights ``w`` with d^2(x, y) =
         ||w (x - y)[keep]||^2 on admitted objects: all at ``coord_scale``,
         or the upper triangle of the exactly symmetric matrices, at
-        sqrt(2) off the diagonal, without the zero adjacency diagonal."""
-        if not self.is_matrix:
-            return slice(None), np.full(self.data_len, self.coord_scale)
-        rows, cols = np.triu_indices(self.dim, k=int(self.tag == "adjacency"))
-        return rows * self.dim + cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+        sqrt(2) off the diagonal, without the zero adjacency diagonal.
+        Built once per space value; both arrays are read-only."""
+        return _metric_coordinates(self)
 
     def quantile_grid(self) -> np.ndarray:
         """Interior midpoint probability grid u_k = (k - 0.5)/m."""
@@ -98,6 +97,17 @@ class SpaceKind:
             raise InvalidObject("quantile_grid is defined for quantile spaces only")
         m = self.dim
         return (np.arange(1, m + 1) - 0.5) / m
+
+
+@lru_cache(maxsize=16)
+def _metric_coordinates(space: SpaceKind) -> tuple[slice | np.ndarray, np.ndarray]:
+    keep, w = slice(None), np.full(space.data_len, space.coord_scale)
+    if space.is_matrix:
+        rows, cols = np.triu_indices(space.dim, k=int(space.tag == "adjacency"))
+        keep, w = rows * space.dim + cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+        keep.flags.writeable = False
+    w.flags.writeable = False
+    return keep, w
 
 
 def scalar_space() -> SpaceKind:
@@ -129,6 +139,9 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     repaired in a copy (metrically projected).  Returns the
     admitted data, sharing memory with ``block`` when nothing needed
     repair.
+
+    Adjacency finiteness comes from the range that the [0, 1] check
+    needs: a NaN reaches both the minimum and the maximum, an inf one.
     """
     block = np.asarray(block, dtype=float)
     if block.shape[-1] != space.data_len:
@@ -136,7 +149,12 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
             f"expected data of length {space.data_len} for {space.tag}, "
             f"got {block.shape[-1]}"
         )
-    if not np.all(np.isfinite(block)):
+    if space.tag == "adjacency":
+        lo, hi = block.min(), block.max()
+        finite = np.isfinite(lo) and np.isfinite(hi)
+    else:
+        finite = np.all(np.isfinite(block))
+    if not finite:
         raise InvalidObject("data contains non-finite values")
 
     if space.tag == "scalar":
@@ -152,20 +170,22 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
             block = out.reshape(block.shape)
         return block
 
+    # a NaN fails the symmetry, diagonal and range checks too
     mats = _as_matrices(space, block)
     trans = np.swapaxes(mats, -1, -2)
     if not np.array_equal(mats, trans):
         asym = np.abs(mats - trans).max()
-        if asym > ADMISSION_TOL:
+        if not asym <= ADMISSION_TOL:
             raise InvalidObject(f"matrix not symmetric (max asymmetry {asym:.3g})")
         mats = 0.5 * (mats + trans)
+        if space.tag == "adjacency":  # the range check reads the symmetrized entries
+            lo, hi = mats.min(), mats.max()
 
     if space.tag == "adjacency":
         diag = np.abs(np.diagonal(mats, axis1=-2, axis2=-1)).max()
-        if diag > ADMISSION_TOL:
+        if not diag <= ADMISSION_TOL:
             raise InvalidObject(f"adjacency diagonal not zero (max {diag:.3g})")
-        lo, hi = mats.min(), mats.max()
-        if lo < -ADMISSION_TOL or hi > 1.0 + ADMISSION_TOL:
+        if not (lo >= -ADMISSION_TOL and hi <= 1.0 + ADMISSION_TOL):
             raise InvalidObject("adjacency entries outside [0, 1]")
         if diag > 0.0 or lo < 0.0 or hi > 1.0:
             return project_coordinates(space, mats.reshape(block.shape))

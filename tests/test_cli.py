@@ -197,6 +197,22 @@ class TestFitCommand:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)], [(1, 1)]],
+                             ids=["entry", "pair", "diagonal"])
+    def test_nonfinite_adjacency_exits_2(self, tmp_path, capsys, bad, cells):
+        # the file reader names the value before admission sees it
+        values = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 6).reshape(3, 2, 2, 2)
+        for i, j in cells:
+            values[1, 0, i, j] = bad
+        doc = {"space": "adjacency", "dim": 2, "time_grid": [0.0, 1.0],
+               "trajectories": values.reshape(3, 2, 4).tolist()}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["fit", path, "--components", "1", "--out", tmp_path / "fit"]) == 2
+        assert capsys.readouterr().err == "error: trajectories[1]: values must be finite\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_components_exceeding_grid_exits_2(self, tmp_path):
         doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 1.0],
                "trajectories": [[[0.0], [1.0]], [[1.0], [0.0]]]}

@@ -7,14 +7,17 @@ import pytest
 
 from ofpca import (
     DegenerateVariance,
+    DistributionSimConfig,
     EigenSystem,
     InvalidObject,
     InvalidSurface,
     KernelSurface,
+    NetworkSimConfig,
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
     OfpcaError,
+    SpaceKind,
     SpaceMismatch,
     TooFewTrajectories,
     adjacency_space,
@@ -27,13 +30,14 @@ from ofpca import (
     metric_variance,
     quantile_space,
     scalar_space,
+    simulate,
     squared_distance,
     sympsd_space,
     total_variance,
     trapezoid_weights,
 )
 
-from ofpca.kernel import _BLOCK_FLOATS
+from ofpca.kernel import _BLOCK_FLOATS, _coordinate_mean
 from ofpca.spaces import ADMISSION_TOL
 
 from oracles import (
@@ -572,6 +576,32 @@ class TestBlockedSurface:
         if space.is_matrix:
             r = space.dim
             assert w.size == r * (r + (1 if space.tag == "sympsd" else -1)) // 2
+
+    @pytest.mark.parametrize("space", SURFACE_SPACES, ids=lambda sp: sp.tag)
+    def test_metric_coordinates_shared_and_read_only(self, space):
+        # built once per space value: an equal space gets equal arrays,
+        # and no caller can write into the ones that the next caller gets
+        keep, w = space.metric_coordinates()
+        keep_again, w_again = SpaceKind(space.tag, space.dim).metric_coordinates()
+        index = np.arange(space.data_len)
+        assert np.array_equal(index[keep], index[keep_again])
+        assert np.array_equal(w, w_again)
+        for arr in (w, keep) if space.is_matrix else (w,):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("make_cfg", [NetworkSimConfig, DistributionSimConfig])
+    def test_mean_bit_equal_on_simulated_and_c_order(self, make_cfg):
+        # the network simulator hands over a view whose coordinate axis is
+        # outermost in memory; its C-ordered copy must give the same bytes
+        sample = simulate(make_cfg(n=300, seed=2))
+        copy = ObjectSample(sample.space, sample.time_grid,
+                            np.ascontiguousarray(sample.stacked_values))
+        assert copy.stacked_values.flags.c_contiguous
+        for values in (sample.stacked_values, copy.stacked_values):
+            assert _coordinate_mean(values).tobytes() == values.mean(axis=0).tobytes()
+        assert (estimate_cov_surface(sample).values.tobytes()
+                == estimate_cov_surface(copy).values.tobytes())
 
     @pytest.mark.parametrize("space", SURFACE_SPACES, ids=lambda sp: sp.tag)
     @pytest.mark.parametrize("blocks", ["n=2", "block-1", "block", "block+1", "3 blocks+1"])

@@ -22,16 +22,19 @@ from ofpca import (
     trapezoid_weights,
     true_eigensystem,
 )
+from ofpca import sim
 from ofpca.sim import (
     DISTRIBUTION_EIGENVALUES,
     NETWORK_EIGENVALUES,
     distribution_curve_params,
     distribution_sim_basis,
     network_curve_params,
+    quadrature_orthonormalize,
     quantile_probes,
     run_seed,
     _distribution_values,
     _factor_draws,
+    _network_directions,
     _network_values,
 )
 
@@ -85,6 +88,17 @@ class TestNetworkBasis:
         for j in (1, 2, 3):
             phi = network_sim_basis(j, grid)
             assert np.trapezoid(phi * phi, grid) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("T", [5, 51, 101])
+    def test_cached_directions_read_only_and_bit_equal(self, T):
+        grid = np.linspace(0.0, 1.0, T)
+        directions = _network_directions(grid.tobytes())
+        assert directions.shape == (3, T)
+        for j in (1, 2, 3):
+            assert directions[j - 1].tobytes() == network_sim_basis(j, grid).tobytes()
+        assert _network_directions(grid.copy().tobytes()) is directions
+        with pytest.raises(ValueError):
+            directions[0, 1] = 0.0
 
     def test_cross_orthogonality(self):
         grid = np.linspace(0, 1, 2001)
@@ -368,6 +382,15 @@ class TestTruth:
         assert np.array_equal(reconstruct(truth), (funs.T * vals) @ funs)
         assert truth.spectrum_total == float(np.sum(vals))
 
+    @pytest.mark.parametrize("n_times", [5, 51, 101])
+    def test_network_truth_is_the_orthonormalized_directions(self, n_times):
+        cfg = NetworkSimConfig(n=2, n_times=n_times)
+        basis = np.stack([network_sim_basis(j, cfg.time_grid) for j in (1, 2, 3)])
+        want = quadrature_orthonormalize(basis, trapezoid_weights(cfg.time_grid))
+        truth = true_eigensystem(cfg)
+        assert truth.eigenfunctions.tobytes() == want.tobytes()
+        assert truth.eigenvalues.tolist() == list(NETWORK_EIGENVALUES)
+
     def test_unknown_config_rejected(self):
         with pytest.raises(InvalidObject):
             true_eigensystem(object())
@@ -394,6 +417,28 @@ class TestMiseHarness:
         assert rep["mise_c"] > 0
         assert np.all(np.isfinite(rep["mise_phi"]))
         assert np.all(np.isfinite(rep["mise_lambda"]))
+
+    def test_run_invariants_built_once(self, monkeypatch):
+        # the coordinate map and the network directions depend only on the
+        # space and the grid, so more runs must not build them again
+        calls = {"directions": 0, "triu_indices": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "_network_basis_raw",
+                            counted("directions", sim._network_basis_raw))
+        monkeypatch.setattr(np, "triu_indices", counted("triu_indices", np.triu_indices))
+        counts = []
+        for runs in (1, 10):
+            calls.update(directions=0, triu_indices=0)
+            mise_report(NetworkSimConfig(n=20), runs=runs)
+            counts.append(dict(calls))
+        for name in calls:
+            assert counts[1][name] <= counts[0][name], name
 
     def test_run_seed_deterministic(self):
         assert run_seed(7, 3) == run_seed(7, 3)

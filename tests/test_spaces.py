@@ -7,6 +7,7 @@ from ofpca import (
     BadWeights,
     InvalidObject,
     ObjectPoint,
+    ObjectSample,
     ObjectTrajectory,
     SpaceMismatch,
     adjacency_space,
@@ -221,6 +222,26 @@ class TestValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidObject):
             ObjectPoint(scalar_space(), [np.nan])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)], [(2, 2)]],
+                             ids=["entry", "pair", "diagonal"])
+    def test_rejects_nonfinite_adjacency(self, bad, cells):
+        # adjacency finiteness is read off the block's minimum and maximum;
+        # a NaN or an infinity must be named as such, whichever of the
+        # symmetry, diagonal and range checks it would fail
+        space = adjacency_space(4)
+        values = np.full((3, 5, 4, 4), 0.5)
+        values[..., np.arange(4), np.arange(4)] = 0.0
+        for i, j in cells:
+            values[1, 2, i, j] = bad
+        values = values.reshape(3, 5, 16)
+        grid = np.linspace(0.0, 1.0, 5)
+        for admit in (lambda: validate_block(space, values),
+                      lambda: ObjectSample(space, grid, values),
+                      lambda: ObjectPoint(space, values[1, 2])):
+            with pytest.raises(InvalidObject, match="non-finite"):
+                admit()
 
     def test_data_is_frozen(self):
         p = ObjectPoint(scalar_space(), [1.0])
