@@ -16,12 +16,12 @@ they do not depend on how many are retained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BadRank, DegenerateSpectrum, InvalidSurface
-from .kernel import KernelSurface, _check_time_grid, _trapezoid
+from .kernel import KernelSurface, _check_time_grid, _OnGrid
+from .spaces import _count
 
 #: Below this absolute value an eigenfunction integral counts as zero
 #: for the sign convention.
@@ -29,7 +29,7 @@ SIGN_INTEGRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(_OnGrid):
     """Descending eigenvalues with L2-orthonormal eigenfunctions on a grid.
 
     ``eigenfunctions`` has shape (K, T); row j is the j-th eigenfunction
@@ -67,12 +67,6 @@ class EigenSystem:
         if self.spectrum_total is None:
             object.__setattr__(self, "spectrum_total", float(np.clip(vals, 0.0, None).sum()))
 
-    @cached_property
-    def quad_weights(self) -> np.ndarray:
-        w = _trapezoid(self.time_grid)
-        w.flags.writeable = False
-        return w
-
     @property
     def num_retained(self) -> int:
         return self.eigenvalues.size
@@ -91,7 +85,7 @@ class EigenSystem:
 
 def _check_component(es: EigenSystem, j: int) -> None:
     """Raise BadRank unless j (1-based) names a retained component."""
-    if not (1 <= j <= es.num_retained):
+    if _count(j, "component", 1, BadRank) > es.num_retained:
         raise BadRank(f"component {j} not retained (K={es.num_retained})")
 
 
@@ -128,10 +122,10 @@ def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     Raises
     ------
     BadRank
-        If k exceeds the grid size (or k < 1).
+        If k is not an integer in [1, T].
     """
     T = surface.n_times
-    if not (1 <= k <= T):
+    if _count(k, "k", 1, BadRank) > T:
         raise BadRank(f"k must be in [1, {T}], got {k}")
 
     w = surface.quad_weights

@@ -181,8 +181,7 @@ def _fraction_count(es: EigenSystem, fraction: float) -> int:
     explained fraction (of the clipped whole spectrum) reaches ``fraction``."""
     if es.spectrum_total <= 0:
         return es.num_retained
-    cumulative = np.cumsum(np.clip(es.eigenvalues, 0.0, None)) / es.spectrum_total
-    return int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
+    return int(np.searchsorted(np.cumsum(es.explained_fractions), fraction - 1e-12) + 1)
 
 
 def fit_fpca(
@@ -205,7 +204,8 @@ def fit_fpca(
     their score column.  An ``explained_fraction`` outside
     (0, 1] raises ``BadRank``.
     """
-    if explained_fraction is not None and not 0.0 < explained_fraction <= 1.0:
+    if explained_fraction is not None and (isinstance(explained_fraction, (bool, np.bool_))
+                                           or not 0.0 < explained_fraction <= 1.0):
         raise BadRank(f"explained fraction must be in (0, 1], got {explained_fraction}")
     surface = estimate_cov_surface(sample)
     es = eigendecompose(surface, k=n_components)

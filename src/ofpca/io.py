@@ -198,8 +198,7 @@ def _require(doc: dict, field: str, kind=None):
     if field not in doc:
         raise SchemaError("missing required field", field=field)
     value = doc[field]
-    # bool is a subclass of int, but true is not a dimension
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
     return value
 
@@ -284,8 +283,10 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     tag = _require(doc, "space", str)
     if tag not in SPACE_TAGS:
         raise SchemaError(f"unknown space {tag!r}", field="space")
-    dim = _require(doc, "dim", int)
-    space = SpaceKind(tag, dim)
+    try:
+        space = SpaceKind(tag, _require(doc, "dim"))
+    except InvalidObject as exc:
+        raise SchemaError(str(exc), field="dim") from exc
 
     grid = _time_grid(_require(doc, "time_grid"))
     trajs = doc.get("trajectories")

@@ -173,10 +173,19 @@ class ObjectSample:
         )
 
 
+class _OnGrid:
+    """``quad_weights``: the read-only trapezoid weights of ``time_grid``."""
+
+    @cached_property
+    def quad_weights(self) -> np.ndarray:
+        w = _trapezoid(self.time_grid)
+        w.flags.writeable = False
+        return w
+
+
 @dataclass(frozen=True)
-class KernelSurface:
-    """A symmetric T x T kernel on a time grid.  Its ``quad_weights`` are
-    always the grid's trapezoid weights, never an input."""
+class KernelSurface(_OnGrid):
+    """A symmetric T x T kernel on a time grid, with its ``quad_weights``."""
 
     time_grid: np.ndarray
     values: np.ndarray
@@ -193,12 +202,6 @@ class KernelSurface:
         t.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "time_grid", t)
         object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def quad_weights(self) -> np.ndarray:
-        w = _trapezoid(self.time_grid)
-        w.flags.writeable = False
-        return w
 
     @property
     def n_times(self) -> int:
@@ -279,17 +282,15 @@ def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     """Metric correlation in [-1, 1]: covariance over the geometric mean
     of the two metric variances.
 
-    Raises DegenerateVariance if either margin has zero variance.  The
-    empirical Cauchy-Schwarz bound holds exactly, so values are clamped
-    only against float noise within 1e-9.
+    Raises DegenerateVariance if either margin has zero variance.  Both
+    margins are centered by ``_centered_points``, so the empirical
+    Cauchy-Schwarz bound holds up to round-off, which the clamp removes.
     """
     var_u = metric_variance(u)
     var_v = metric_variance(v)
     if var_u <= 0.0 or var_v <= 0.0:
         raise DegenerateVariance("zero metric variance in a margin")
     rho = metric_covariance(u, v) / np.sqrt(var_u * var_v)
-    if abs(rho) > 1.0 + 1e-9:
-        raise InvalidObject(f"correlation {rho!r} exceeds 1 beyond float tolerance")
     return float(np.clip(rho, -1.0, 1.0))
 
 

@@ -19,7 +19,7 @@ population-eigenvalue oracle lives there too: no command runs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from statistics import NormalDist
 
@@ -33,7 +33,7 @@ from .kernel import (
     trapezoid_weights,
 )
 from .eigen import EigenSystem, eigendecompose, reconstruct
-from .spaces import adjacency_space, quantile_space
+from .spaces import _count, adjacency_space, quantile_space
 
 NETWORK_NODES = 10
 NETWORK_COMMUNITY = 5  # first five nodes vs last five
@@ -67,7 +67,7 @@ def jacobi_polynomial(n: int, alpha: float, beta: float, x) -> np.ndarray:
     """Jacobi polynomial P_n^(alpha, beta)(x) by the standard three-term
     recurrence."""
     x = np.asarray(x, dtype=float)
-    if n == 0:
+    if _count(n, "n", 0) == 0:
         return np.ones_like(x)
     p_prev = np.ones_like(x)
     p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
@@ -100,7 +100,7 @@ def network_sim_basis(j: int, t) -> np.ndarray:
     """Direction j in {1, 2, 3} of the network design: a Jacobi polynomial
     times the weight t^1.5 (1-t)^2, normalized to unit L2 norm on [0, 1].
     Vanishes at both endpoints."""
-    if j not in (1, 2, 3):
+    if _count(j, "j", 1) > 3:
         raise InvalidObject(f"network basis index must be 1, 2 or 3, got {j}")
     t = np.asarray(t, dtype=float)
     return _network_basis_raw(j, t) / _network_basis_norm(j)
@@ -114,44 +114,42 @@ def _network_directions(grid: bytes) -> np.ndarray:
     return directions
 
 
+class _SimConfig:
+    """What both designs' configs share: count fields checked on construction,
+    a sample of (n, T, ``_data_len``) floats that numpy can index, and the time grid."""
+
+    def __post_init__(self):
+        least = {"n": 2, "n_times": 3, "m": 2, "seed": 0}
+        for f in fields(self):
+            object.__setattr__(self, f.name, _count(getattr(self, f.name), f.name, least[f.name]))
+        if self.n * self.n_times * self._data_len * 8 > np.iinfo(np.intp).max:
+            raise InvalidObject(f"an (n, T, {self._data_len}) sample is too big for numpy to index")
+
+    @property
+    def time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_times)
+
+
 @dataclass(frozen=True)
-class DistributionSimConfig:
+class DistributionSimConfig(_SimConfig):
     """Sample size, time-grid size, quantile-grid size, and seed."""
 
     n: int
     n_times: int = 51
     m: int = 100
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2 or self.n_times < 3 or self.m < 2 or self.seed < 0:
-            raise InvalidObject("need n >= 2, n_times >= 3, m >= 2, seed >= 0")
-        if self.n * self.n_times * self.m * 8 > np.iinfo(np.intp).max:
-            raise InvalidObject("an (n, T, m) sample is too big for numpy to index")
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_times)
+    _data_len = property(lambda self: self.m)
 
 
 @dataclass(frozen=True)
-class NetworkSimConfig:
+class NetworkSimConfig(_SimConfig):
     """Sample size, time-grid size, and seed; the node structure is fixed
     at 10 nodes in two communities of 5."""
 
     n: int
     n_times: int = 51
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2 or self.n_times < 3 or self.seed < 0:
-            raise InvalidObject("need n >= 2, n_times >= 3, seed >= 0")
-        if self.n * self.n_times * NETWORK_NODES**2 * 8 > np.iinfo(np.intp).max:
-            raise InvalidObject(f"an (n, T, {NETWORK_NODES**2}) sample is too big for numpy to index")
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_times)
+    _data_len = NETWORK_NODES**2
 
 
 def _factor_draws(cfg, kinds, scales) -> np.ndarray:
@@ -321,11 +319,10 @@ def mise_report(
     (length ``n_components``, at most the design's rank), and
     ``mise_lambda``.
     """
-    if runs < 1:
-        raise InvalidObject("runs must be >= 1")
+    runs = _count(runs, "runs", 1)
     truth = true_eigensystem(cfg)
     rank = truth.num_retained
-    if not 1 <= n_components <= rank:
+    if _count(n_components, "n_components", 1, BadRank) > rank:
         raise BadRank(f"components must be in [1, {rank}] (the design's rank), got {n_components}")
     w = truth.quad_weights
     w2 = np.outer(w, w)

@@ -39,6 +39,14 @@ SPACE_TAGS = ("scalar", "quantile", "adjacency", "sympsd")
 ADMISSION_TOL = 1e-10
 
 
+def _count(value, name: str, least: int, error=InvalidObject) -> int:
+    """``value`` as an ``int``: an integer (Python or numpy, not a bool) of
+    at least ``least``.  Anything else raises ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SpaceKind:
     """A metric-space descriptor.
@@ -57,11 +65,9 @@ class SpaceKind:
     def __post_init__(self):
         if self.tag not in SPACE_TAGS:
             raise InvalidObject(f"unknown space tag {self.tag!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise InvalidObject(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _count(self.dim, "dim", 1))
         if self.tag == "scalar" and self.dim != 1:
             raise InvalidObject("scalar space has dim 1")
-        object.__setattr__(self, "dim", int(self.dim))
 
     @property
     def data_len(self) -> int:
@@ -161,14 +167,11 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
         return block
 
     if space.tag == "quantile":
-        if np.any(block[..., 1:] < block[..., :-1]):
-            out = block.reshape(-1, space.dim).copy()
-            dips = np.any(out[:, 1:] < out[:, :-1], axis=1)
-            if (out[dips, :-1] - out[dips, 1:]).max() > ADMISSION_TOL:
-                raise InvalidObject("quantile vector is not non-decreasing")
-            out[dips] = project_coordinates(space, out[dips])
-            block = out.reshape(block.shape)
-        return block
+        if not np.any(block[..., 1:] < block[..., :-1]):
+            return block
+        if (block[..., :-1] - block[..., 1:]).max() > ADMISSION_TOL:
+            raise InvalidObject("quantile vector is not non-decreasing")
+        return project_coordinates(space, block)
 
     # a NaN fails the symmetry, diagonal and range checks too
     mats = _as_matrices(space, block)
@@ -210,16 +213,19 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
 class ObjectPoint:
     """One element of a metric space, stored as a flat coordinate vector.
 
-    Matrices are stored row-major.  The constructor enforces the space
-    invariants (see :func:`validate_block`) and freezes the data.
+    Matrices are stored row-major.  The constructor takes exactly one
+    object, a vector of length ``space.data_len``, enforces the space
+    invariants (see :func:`validate_block`) and freezes a copy.
     """
 
     space: SpaceKind
     data: np.ndarray
 
     def __post_init__(self):
-        data = validate_block(self.space, np.asarray(self.data, dtype=float))
-        data = data.copy()
+        data = np.asarray(self.data, dtype=float)
+        if data.shape != (self.space.data_len,):
+            raise InvalidObject(f"a point needs shape ({self.space.data_len},), got {data.shape}")
+        data = validate_block(self.space, data).copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 

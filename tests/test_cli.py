@@ -403,7 +403,7 @@ class TestMiseCommand:
         for flags, message in (
             (["--n", "a,b", "--runs", "1"], "--n must be comma-separated integers, got 'a,b'"),
             (["--n", ",", "--runs", "1"], "--n selected no sample sizes"),
-            (["--n", "6", "--runs", "0"], "runs must be >= 1"),
+            (["--n", "6", "--runs", "0"], "runs must be an integer >= 1, got 0"),
         ):
             assert run(["mise", "--design", "dist", *flags, "--out", out]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ofpca import (
+    BadRank,
     DistributionSimConfig,
     EigenSystem,
     InvalidObject,
@@ -363,6 +364,14 @@ class TestScores:
 
 
 class TestFitPipeline:
+    @pytest.mark.parametrize("fraction", [True, np.True_])
+    def test_bool_explained_fraction_rejected(self, fraction):
+        # a bool is not a fraction, though True compares equal to 1.0; the
+        # command line parses a float, so this is reachable from the API only
+        sample = scalar_sample(np.random.default_rng(4).normal(size=(5, 7)))
+        with pytest.raises(BadRank, match="explained fraction must be in"):
+            fit_fpca(sample, explained_fraction=fraction)
+
     def test_fit_shapes_and_feasibility(self):
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 13)

@@ -79,6 +79,18 @@ class TestTrajectoryFile:
         with pytest.raises(SchemaError, match="time_grid"):
             ofio.load_trajectory_file(path)
 
+    @pytest.mark.parametrize("dim", ["0", "-2", "true", "2.5", "2.0", '"2"', "null", "[2]",
+                                     "NaN", "Infinity"])
+    def test_bad_dim_is_named(self, tmp_path, dim):
+        # the header's dim goes through SpaceKind's count rule; its fault
+        # names the field, as every other header fault does
+        path = tmp_path / "bad.json"
+        path.write_text('{"space": "quantile", "dim": %s, "time_grid": [0, 1], '
+                        '"trajectories": [[[0, 1], [0, 1]], [[0, 1], [0, 2]]]}' % dim)
+        with pytest.raises(SchemaError, match="^dim: dim must be an integer >= 1") as exc:
+            ofio.load_trajectory_file(path)
+        assert exc.value.field == "dim"
+
     def test_ragged_trajectory_diagnostic(self, tmp_path):
         path = tmp_path / "bad.json"
         doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 1.0],

@@ -243,6 +243,30 @@ class TestValidation:
             with pytest.raises(InvalidObject, match="non-finite"):
                 admit()
 
+    @pytest.mark.parametrize("data", [[[1.0], [2.0]], 1.0, [], [1.0, 2.0]],
+                             ids=["two objects", "0-d", "empty", "too long"])
+    def test_point_holds_one_object(self, data):
+        with pytest.raises(InvalidObject, match=r"a point needs shape \(1,\)"):
+            ObjectPoint(scalar_space(), data)
+
+    def test_quantile_repair_is_the_projection_of_the_block(self):
+        # dipping rows within tolerance are projected (PAVA), the others
+        # come back bit for bit; one dip beyond tolerance rejects the block
+        rng = np.random.default_rng(8)
+        space = quantile_space(5)
+        block = np.sort(rng.normal(size=(4, 3, 5)), axis=-1)
+        block[1, 2, 3] = block[1, 2, 4] + 4e-11
+        block[3, 0, 0] = block[3, 0, 1] + 1e-11
+        got = validate_block(space, block)
+        assert got.tobytes() == project_coordinates(space, block).tobytes()
+        dipped = np.zeros((4, 3), dtype=bool)
+        dipped[1, 2] = dipped[3, 0] = True
+        assert np.array_equal(got[~dipped], block[~dipped])
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        block[2, 1, 2] = block[2, 1, 3] + 1e-9
+        with pytest.raises(InvalidObject, match="non-decreasing"):
+            validate_block(space, block)
+
     def test_data_is_frozen(self):
         p = ObjectPoint(scalar_space(), [1.0])
         with pytest.raises(ValueError):
