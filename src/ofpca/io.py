@@ -24,7 +24,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidObject, SchemaError
+from .errors import InvalidObject, SchemaError, TooFewTrajectories
 from .kernel import ObjectSample, _check_time_grid
 from .spaces import SPACE_TAGS, SpaceKind, project_coordinates, validate_block
 
@@ -302,9 +302,10 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
         _check_shape(misfit[1], f"trajectories[{misfit[0]}]", shape)
     if project_on_load:
         values = project_coordinates(space, values)
+    values.flags.writeable = False
     try:
-        return ObjectSample._from_values(space, grid, values)
-    except InvalidObject as exc:
+        return ObjectSample(space, grid, values)
+    except (InvalidObject, TooFewTrajectories) as exc:
         # the block check reports one fault of the whole sample; name the
         # first invalid trajectory with the fault of its own check
         for i, traj in enumerate(values):
@@ -312,7 +313,7 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
                 validate_block(space, traj)
             except InvalidObject as own:
                 raise SchemaError(str(own), field=f"trajectories[{i}]") from exc
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(str(exc), field="trajectories") from exc
 
 
 def fit_to_dict(fit, warnings_list=()) -> dict:

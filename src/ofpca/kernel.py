@@ -29,8 +29,8 @@ common offset.  ``_blocks`` cuts the trajectories into those blocks;
 the distance curves of ``ofpca.fpca`` use it too.  The distance-only
 pair kernel is kept as a test oracle in ``tests/oracles.py``.  An
 :class:`ObjectSample` is built from one (n, T, L) array, which it
-copies once, validates as a block and keeps read-only, so every stage
-can batch over it.
+validates as a block and keeps read-only, so every stage can batch over
+it; a writable array is copied first, a read-only one is kept.
 """
 
 from __future__ import annotations
@@ -95,12 +95,16 @@ def _check_time_grid(time_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def _admit(obj, field: str, values: np.ndarray, ndim: int) -> None:
-    """Check ``obj``'s time grid and ``values`` ((T, L) with ndim 2, or
-    (n >= 2, T, L) with ndim 3), validate (and repair within tolerance)
-    ``values`` as one block, and set both on the frozen ``obj`` read-only.
-    ``values`` is frozen in place, so the caller must own it."""
+def _admit(obj, field: str, ndim: int) -> None:
+    """Check ``obj``'s time grid and its array ``field`` ((T, L) with ndim
+    2, or (n >= 2, T, L) with ndim 3), validate (and repair within
+    tolerance) the array as one block, and set both on the frozen ``obj``
+    read-only.  A read-only float64 array is kept, as no one can write
+    through it; anything else is copied, so the caller's stays its own."""
     t = _check_time_grid(obj.time_grid).copy()
+    a = getattr(obj, field)
+    keep = isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+    values = a if keep else np.array(a, dtype=float)
     if values.ndim != ndim or values.shape[-2:] != (t.size, obj.space.data_len):
         raise InvalidObject(
             f"values must have shape (..., T={t.size}, {obj.space.data_len}), got {values.shape}"
@@ -119,7 +123,8 @@ class ObjectTrajectory:
 
     ``values`` has shape (T, data_len); row k is the coordinate vector
     of the object at time ``time_grid[k]``.  Space invariants are
-    enforced for every row on construction.
+    enforced for every row on construction; ``values`` is copied as a
+    sample's array is.
     """
 
     space: SpaceKind
@@ -127,7 +132,7 @@ class ObjectTrajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        _admit(self, "values", np.array(self.values, dtype=float), 2)
+        _admit(self, "values", 2)
 
     @property
     def n_times(self) -> int:
@@ -141,9 +146,9 @@ class ObjectTrajectory:
 class ObjectSample:
     """n >= 2 trajectories on one space and time grid, held as one
     read-only (n, T, data_len) array ``stacked_values``; ``trajectories``
-    is a lazy view.  The constructor copies ``stacked_values`` once and
-    validates the copy as one block, so the caller's array stays
-    writable and later writes to it do not reach the sample.
+    are lazy views of its rows.  The array is validated as one block and
+    copied if it is writable, so later writes to the caller's array do not
+    reach the sample; a read-only float64 array (a memory map too) is kept.
     """
 
     space: SpaceKind
@@ -151,16 +156,7 @@ class ObjectSample:
     stacked_values: np.ndarray
 
     def __post_init__(self):
-        _admit(self, "stacked_values", np.array(self.stacked_values, dtype=float), 3)
-
-    @classmethod
-    def _from_values(cls, space: SpaceKind, time_grid, values) -> "ObjectSample":
-        """The constructor without its copy, for an array that the caller
-        hands over and no longer writes to: it is frozen in place."""
-        sample = object.__new__(cls)
-        sample.__dict__.update(space=space, time_grid=time_grid)
-        _admit(sample, "stacked_values", np.asarray(values, dtype=float), 3)
-        return sample
+        _admit(self, "stacked_values", 3)
 
     @property
     def n(self) -> int:
@@ -253,9 +249,9 @@ def metric_variance(objs: list[ObjectPoint]) -> float:
     """U-statistic estimate of the metric variance (1/2) E d^2(U, U'),
     computed as sum_i ||U_i - Ubar||^2 / (n-1) in scaled coordinates.
 
-    Equals the diagonal of :func:`estimate_cov_surface` when the objects
-    are a time slice of a sample, and the unbiased sample variance for
-    scalars.
+    Equals, up to round-off, the diagonal of :func:`estimate_cov_surface`
+    when the objects are a time slice of a sample, and the unbiased
+    sample variance for scalars.
     """
     return metric_covariance(objs, objs)
 

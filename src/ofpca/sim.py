@@ -201,7 +201,8 @@ def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
     grid = cfg.time_grid
     mu, sigma = distribution_curve_params(*draws, grid)
     values = _distribution_values(mu, sigma, quantile_probes(cfg.m))
-    return ObjectSample._from_values(quantile_space(cfg.m), grid, values)
+    values.flags.writeable = False
+    return ObjectSample(quantile_space(cfg.m), grid, values)
 
 
 def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +246,8 @@ def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
     draws = _factor_draws(cfg, ("uniform",) * 4, (0.4, 0.1, 0.3, 0.1))
     grid = cfg.time_grid
     values = _network_values(*network_curve_params(*draws, grid))
-    return ObjectSample._from_values(adjacency_space(NETWORK_NODES), grid, values)
+    values.flags.writeable = False
+    return ObjectSample(adjacency_space(NETWORK_NODES), grid, values)
 
 
 def simulate(cfg) -> ObjectSample:

@@ -104,15 +104,22 @@ def reference_distance_curves(sample, mean) -> np.ndarray:
     return np.sqrt(np.einsum("itp,itp->it", diff, diff))
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory that numpy and Python
-    allocated during the call, in bytes, as ``(result, peak)``."""
+def traced_memory(fn, *args):
+    """``fn(*args)`` and the memory that numpy and Python allocated during
+    the call, in bytes, as ``(result, held, peak)``; ``held`` is what is
+    still allocated when the call returns."""
     tracemalloc.start()
     try:
         result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
+        return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of its allocations, as ``(result, peak)``."""
+    result, _, peak = traced_memory(fn, *args)
+    return result, peak
 
 
 def pearson_unbiased(u: np.ndarray, v: np.ndarray) -> float:

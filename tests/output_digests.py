@@ -1,0 +1,65 @@
+"""Print the sha256 of 44 command outputs, to check that a change keeps
+every output byte.
+
+Run from the root of each checkout and compare:
+
+    python tests/output_digests.py > digests.txt
+    diff parent/digests.txt change/digests.txt
+
+It runs the ``ofpca`` commands of this checkout's ``src`` in a temporary
+directory and prints one ``sha256  relative-path`` line per file written:
+``simulate --design dist|net --n 60 --seed 3``; ``fit`` (dist) and
+``fit --components 3`` (net) of those samples; ``fit --explained-fraction
+0.5|0.9|0.99|1.0`` of each sample; ``mise --design net --n 100 --runs 10
+--seed 5``; and ``mise --design dist --n 25,50 --runs 3``.  This is a
+script, not a test: another numpy or BLAS build may give other bytes.
+"""
+
+import contextlib
+import hashlib
+import os
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+from ofpca.cli import main  # noqa: E402
+
+FRACTIONS = ("0.5", "0.9", "0.99", "1.0")
+
+
+def commands():
+    """The argument lists, each with relative output paths."""
+    for design in ("dist", "net"):
+        yield ["simulate", "--design", design, "--n", "60", "--seed", "3",
+               "--out", f"{design}.json"]
+    yield ["fit", "dist.json", "--out", "fit-dist"]
+    yield ["fit", "net.json", "--components", "3", "--out", "fit-net"]
+    for design in ("dist", "net"):
+        for f in FRACTIONS:
+            yield ["fit", f"{design}.json", "--explained-fraction", f,
+                   "--out", f"fit-{design}-ef{f}"]
+    yield ["mise", "--design", "net", "--n", "100", "--runs", "10", "--seed", "5",
+           "--out", "mise-net.csv"]
+    yield ["mise", "--design", "dist", "--n", "25,50", "--runs", "3", "--out", "mise-dist.csv"]
+
+
+def digests(root: pathlib.Path) -> list[str]:
+    """Run every command inside ``root`` and return the digest lines."""
+    here = os.getcwd()
+    os.chdir(root)
+    try:
+        for args in commands():
+            with contextlib.redirect_stdout(sys.stderr):
+                code = main(args)
+            if code != 0:
+                raise SystemExit(f"{' '.join(args)} exited {code}")
+    finally:
+        os.chdir(here)
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}"
+            for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n".join(digests(pathlib.Path(tmp))))

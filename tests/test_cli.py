@@ -153,12 +153,14 @@ class TestFitCommand:
         for name in ("scalar_fixture.json", "golden_scores.csv"):
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
-    def test_single_trajectory_exits_2(self, tmp_path):
+    def test_single_trajectory_exits_2(self, tmp_path, capsys):
         doc = {"space": "scalar", "dim": 1, "time_grid": [0.0, 0.5, 1.0],
                "trajectories": [[[0.0], [1.0], [2.0]]]}
         path = tmp_path / "one.json"
         path.write_text(json.dumps(doc))
         assert run(["fit", path, "--out", tmp_path / "fit"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectories: a sample needs at least two trajectories\n")
 
     def test_identical_trajectories_zero_surface_and_scores(self, tmp_path):
         row = [[0.0], [1.0], [2.0]]
@@ -183,6 +185,11 @@ class TestFitCommand:
         zero = "[0, 0, 0, 0]"
         cases = [
             ('{"space": "scalar"}', "dim: missing required field"),
+            ('{"space": 5}', "space: expected str, got int"),
+            ('{"space": "scalar", "dim": 1, "time_grid": [0.0, 1.0]}',
+             "trajectories: missing required field"),
+            (head + "5}", "trajectories: expected list, got int"),
+            (head + "{}}", "trajectories: expected list, got dict"),
             (head + "[[[NaN], [1.0]], [[0.0], [1.0]]]}", "trajectories[0]: values must be finite"),
             (head + "[]}", "trajectories: trajectories must be non-empty"),
             (extra, f"not valid JSON: Extra data at char {len(extra) - 2}"),
@@ -544,7 +551,7 @@ class TestBlasThreads:
         a = np.random.default_rng(3).normal(size=(n, T, 4, 4))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(n, T, 16)
         data = tmp_path / "sympsd.json"
-        sample = ofpca.ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        sample = ofpca.ObjectSample(space, np.linspace(0.0, 1.0, T), values)
         save_trajectory_file(sample, data)
         one, two = (self.digests(["fit", data, "--components", "3"],
                                  tmp_path / f"blas{k}" / "sympsd-fit", k) for k in (1, 2))

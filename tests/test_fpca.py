@@ -421,7 +421,7 @@ class TestFitPipeline:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(20, 11, 4, 2))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
-        sample = ObjectSample._from_values(sympsd_space(4), np.linspace(0, 1, 11), values)
+        sample = ObjectSample(sympsd_space(4), np.linspace(0, 1, 11), values)
         for traj, row in zip(sample.trajectories, sample.stacked_values):
             assert traj.values.tobytes() == row.tobytes()
         fit = fit_fpca(sample, n_components=2)

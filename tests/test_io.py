@@ -60,7 +60,7 @@ class TestTrajectoryFile:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(20, 11, 4, 2))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
-        sample = ObjectSample._from_values(sympsd_space(4), np.linspace(0, 1, 11), values)
+        sample = ObjectSample(sympsd_space(4), np.linspace(0, 1, 11), values)
         path = tmp_path / "psd.json"
         ofio.save_trajectory_file(sample, path)
         loaded = ofio.load_trajectory_file(path)
@@ -297,7 +297,7 @@ class TestFitArtifact:
         else:  # its one eigenfunction, sqrt(2) cos(2 pi t), integrates to zero
             grid = np.linspace(0.0, 1.0, 41)
             phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
-            sample = ObjectSample._from_values(
+            sample = ObjectSample(
                 scalar_space(), grid, np.outer([-1.5, -0.5, 0.5, 1.5], phi)[..., None])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -7,6 +7,9 @@ the eigenfunctions and the scores unchanged up to the sign of each
 component, and maps the mean curve and every object component by g.
 A permutation of the trajectories permutes the rows of the scores, the
 distance curves and the object components, and leaves the rest alone.
+An affine change of time t -> a t + b scales the quadrature weights by
+a: the eigenvalues scale by a, the eigenfunctions by 1/sqrt(a) and the
+scores by sqrt(a), and the rest stays.
 Each fit runs through ``ofpca fit`` on a written file, so that loading
 and admission are covered too.  Tolerances are relative to the largest
 magnitude of each quantity.
@@ -17,7 +20,15 @@ import json
 import numpy as np
 import pytest
 
-from ofpca import ObjectSample, adjacency_space, quantile_space, scalar_space, sympsd_space
+from ofpca import (
+    DistributionSimConfig,
+    ObjectSample,
+    adjacency_space,
+    quantile_space,
+    scalar_space,
+    simulate,
+    sympsd_space,
+)
 from ofpca.cli import main
 from ofpca.io import save_trajectory_file
 
@@ -69,13 +80,13 @@ def isometries():
 ISOMETRIES = isometries()
 
 
-def fit(tmp_path, name, space, values) -> dict:
-    """fit.json of ``ofpca fit --components K`` on the sample, as arrays."""
+def fit(tmp_path, name, space, values, grid=np.linspace(0.0, 1.0, T), k=K) -> dict:
+    """fit.json of ``ofpca fit --components k`` on the sample, as arrays."""
     path = tmp_path / f"{name}.json"
-    save_trajectory_file(ObjectSample(space, np.linspace(0.0, 1.0, T), values), path)
-    assert main(["fit", str(path), "--components", str(K), "--out", str(tmp_path / name)]) == 0
+    save_trajectory_file(ObjectSample(space, grid, values), path)
+    assert main(["fit", str(path), "--components", str(k), "--out", str(tmp_path / name)]) == 0
     doc = json.loads((tmp_path / name / "fit.json").read_text())
-    assert doc["status"] == "ok" and len(doc["eigenvalues"]) == K
+    assert doc["status"] == "ok" and len(doc["eigenvalues"]) == k
     keys = ("surface", "eigenvalues", "eigenfunctions", "explained_fractions", "mean",
             "scores", "distance_curves", "object_fpcs")
     return {key: np.array(doc[key], dtype=float) for key in keys}
@@ -115,3 +126,21 @@ def test_permutation_of_trajectories(tmp_path, space):
     a = fit(tmp_path, "a", space, values)
     b = fit(tmp_path, "b", space, values[rows])
     assert_same_fit(a, b, rows=rows)
+
+
+def test_affine_time_change(tmp_path):
+    # the simulated distributions span three directions in time
+    sample = simulate(DistributionSimConfig(n=40, n_times=21, m=20, seed=4))
+    space, values, grid = sample.space, sample.stacked_values, sample.time_grid
+    scale, shift = 0.6, 0.3
+    a = fit(tmp_path, "a", space, values, grid, k=3)
+    b = fit(tmp_path, "b", space, values, scale * grid + shift, k=3)
+    assert np.array_equal(b["surface"], a["surface"])
+    for key in ("explained_fractions", "mean", "distance_curves", "object_fpcs"):
+        assert_close(b[key], a[key], key)
+    assert_close(b["eigenvalues"], scale * a["eigenvalues"], "eigenvalues")
+    signs = np.sign(np.sum(a["eigenfunctions"] * b["eigenfunctions"], axis=1))
+    assert np.all(signs != 0)
+    assert_close(b["eigenfunctions"] * signs[:, None], a["eigenfunctions"] / np.sqrt(scale),
+                 "eigenfunctions")
+    assert_close(b["scores"] * signs, a["scores"] * np.sqrt(scale), "scores")

@@ -46,6 +46,7 @@ from oracles import (
     pearson_unbiased,
     reference_cov_surface,
     reference_distance_curves,
+    traced_memory,
     traced_peak,
 )
 
@@ -443,12 +444,18 @@ def per_trajectory_values(space, grid, values):
     return np.stack([ObjectTrajectory(space, grid, v).values for v in values])
 
 
-#: The two ways to build a sample from an array the test keeps: the
-#: public constructor copies it, ``_from_values`` freezes a copy in place.
+def read_only(values):
+    """A read-only float64 copy of ``values``."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+#: The two paths into a sample: the constructor copies a writable array
+#: and keeps a read-only float64 one.
 ENTRY_POINTS = {
-    "constructor": ObjectSample,
-    "_from_values": lambda space, grid, values: ObjectSample._from_values(
-        space, grid, values.copy()),
+    "writable": ObjectSample,
+    "read-only": lambda space, grid, values: ObjectSample(space, grid, read_only(values)),
 }
 
 
@@ -467,9 +474,9 @@ def nudged(space, values, size):
 
 
 class TestSampleFromValues:
-    """ObjectSample and ObjectSample._from_values validate an (n, T, L)
-    array as one block and must admit, repair and reject exactly as
-    per-row ObjectTrajectory construction does."""
+    """ObjectSample validates an (n, T, L) array, writable or read-only,
+    as one block and must admit, repair and reject exactly as per-row
+    ObjectTrajectory construction does."""
 
     @staticmethod
     def cases(space):
@@ -528,6 +535,38 @@ class TestSampleFromValues:
         assert sample.time_grid[0] == 0.0
         assert sample.stacked_values.shape == (2, 3, 1)
 
+    def test_read_only_float64_is_kept(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        values = read_only(np.arange(6.0).reshape(2, 3, 1))
+        sample = ObjectSample(scalar_space(), grid, values)
+        assert sample.stacked_values is values
+        assert all(np.shares_memory(traj.values, row)
+                   for traj, row in zip(sample.trajectories, values))
+        # writable, or read-only of another dtype: copied
+        single = values.astype(np.float32)
+        single.flags.writeable = False
+        for other in (np.array(values), single):
+            copied = ObjectSample(scalar_space(), grid, other)
+            assert not np.shares_memory(copied.stacked_values, other)
+            assert np.array_equal(copied.stacked_values, values)
+
+    def test_trajectories_hold_no_copy(self):
+        sample = simulate(DistributionSimConfig(n=400, n_times=51, m=100, seed=5))
+        trajectories, held, _ = traced_memory(lambda: sample.trajectories)
+        assert len(trajectories) == 400
+        assert np.shares_memory(trajectories[7].values, sample.stacked_values)
+        assert held < 1e6  # a copy of every row would hold 16.3 MB
+
+    def test_read_only_memmap_is_not_read_in(self, tmp_path):
+        sample = simulate(DistributionSimConfig(n=400, n_times=51, m=100, seed=5))
+        path = tmp_path / "values.npy"
+        np.save(path, sample.stacked_values)
+        mapped = np.load(path, mmap_mode="r")
+        loaded, held, _ = traced_memory(ObjectSample, sample.space, sample.time_grid, mapped)
+        assert np.shares_memory(loaded.stacked_values, mapped)
+        assert held < 1e6  # reading the map in would hold 16.3 MB
+        assert loaded.stacked_values.tobytes() == sample.stacked_values.tobytes()
+
     def test_constructor_makes_one_copy(self):
         # one copy plus the block check's temporaries; a second copy would hold 2x
         space = quantile_space(100)
@@ -545,8 +584,9 @@ class TestSampleFromValues:
         # than one, and the surface a few blocks (TestBlockedSurface)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(10), (100, 51))
+        values.flags.writeable = False  # so the sample keeps it uncopied
         def admit_and_estimate():
-            sample = ObjectSample._from_values(space, grid, values)
+            sample = ObjectSample(space, grid, values)
             estimate_cov_surface(sample)
             return sample
 
@@ -614,7 +654,7 @@ class TestBlockedSurface:
         values = random_objects(space, np.random.default_rng(n), (n, T))
         # nudged within tolerance: admission repairs it to an exactly valid object
         values = nudged(space, values, 0.5 * ADMISSION_TOL)
-        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        sample = ObjectSample(space, np.linspace(0.0, 1.0, T), values)
         want = reference_cov_surface(sample)
         got = estimate_cov_surface(sample).values
         assert np.array_equal(got, got.T)
@@ -625,7 +665,7 @@ class TestBlockedSurface:
         n = trajectories_per_block(space, T) + 1
         values = random_objects(space, np.random.default_rng(4), (n, T))
         values += 1e8 * np.eye(space.dim).reshape(-1)
-        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        sample = ObjectSample(space, np.linspace(0.0, 1.0, T), values)
         want = reference_cov_surface(sample)
         got = estimate_cov_surface(sample).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -635,7 +675,7 @@ class TestBlockedSurface:
     def test_surface_holds_a_fraction_of_the_sample(self, space, n):
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(11), (n, 51))
-        sample = ObjectSample._from_values(space, grid, values)
+        sample = ObjectSample(space, grid, values)
         _, peak = traced_peak(estimate_cov_surface, sample)
         assert peak < 0.25 * values.nbytes
 
@@ -654,7 +694,7 @@ class TestBlockedDistanceCurves:
         n = {"n=2": 2, "block-1": b - 1, "block": b, "block+1": b + 1,
              "3 blocks+1": 3 * b + 1}[blocks]
         values = random_objects(space, np.random.default_rng(n), (n, T))
-        sample = ObjectSample._from_values(space, np.linspace(0.0, 1.0, T), values)
+        sample = ObjectSample(space, np.linspace(0.0, 1.0, T), values)
         mean = frechet_mean_trajectory(sample)
         got = distance_curves(sample, mean)
         assert got.shape == (n, T)
@@ -665,7 +705,7 @@ class TestBlockedDistanceCurves:
     def test_fit_holds_a_fraction_of_the_sample(self, space, n):
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(12), (n, 51))
-        sample = ObjectSample._from_values(space, grid, values)
+        sample = ObjectSample(space, grid, values)
         fit, peak = traced_peak(fit_fpca, sample, 4, False)
         assert fit.distance_curves.shape == (n, 51)
         assert peak < 0.25 * values.nbytes
