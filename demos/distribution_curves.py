@@ -26,8 +26,7 @@ surface = of.estimate_cov_surface(sample)
 es = of.eigendecompose(surface, k=4)
 print("\ntop eigenvalues:", np.round(es.eigenvalues, 3))
 print("population values (12, 6, 1.75, 0) for this design")
-print("explained fractions:",
-      [round(of.explained_fraction(es, j), 4) for j in range(1, 5)])
+print("explained fractions:", np.round(es.explained_fractions, 4).tolist())
 print("total variance (trace):", round(of.total_variance(surface), 3))
 
 # ---------------------------------------------------------------------

@@ -28,9 +28,9 @@ print("  within community 2 edge:", round(mean_mid[6, 7], 3))
 print("  across-community edge:  ", round(mean_mid[0, 5], 3), "(fixed at 0.1)")
 
 # object components are adjacency matrices again
-component = fit.object_fpcs[0][0]
-if component is not None:
-    mat = component.matrix()
+components = fit.object_components[0]
+if components is not None:
+    mat = of.ObjectPoint(sample.space, components[0]).matrix()
     print("\nobject component of trajectory 0, direction 1:")
     print("  community-1 edge:", round(mat[0, 1], 3),
           " community-2 edge:", round(mat[5, 6], 3))

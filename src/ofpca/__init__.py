@@ -8,11 +8,10 @@ curve) and by object principal components (Frechet integrals against
 the normalized eigenfunctions, which live in the object space itself).
 """
 
-from .eigen import EigenSystem, eigendecompose, explained_fraction, reconstruct
+from .eigen import EigenSystem, eigendecompose, reconstruct
 from .errors import (
     BadRank,
     BadWeights,
-    DegenerateSpectrum,
     DegenerateVariance,
     InputError,
     InvalidObject,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadRank",
     "BadWeights",
-    "DegenerateSpectrum",
     "DegenerateVariance",
     "DistributionSimConfig",
     "EigenSystem",
@@ -97,7 +95,6 @@ __all__ = [
     "distribution_sim_basis",
     "eigendecompose",
     "estimate_cov_surface",
-    "explained_fraction",
     "fit_fpca",
     "frechet_mean_trajectory",
     "frechet_scores",

@@ -2,7 +2,7 @@
 
 Commands: simulate, fit, mise, scores, export-plots.  Every command is
 pure given its input file, flags, and seed: re-running writes identical
-bytes, and the worker-thread count never changes results.
+bytes, and the BLAS thread count never changes results.
 
 Exit codes: 0 success (including partial fits, which set a status
 field), 2 an ``errors.InputError`` or an unreadable input or unwritable
@@ -33,7 +33,6 @@ _SHARED_OPTIONS = {
     "--T": dict(type=int, default=51, dest="n_times", help="time-grid size"),
     "--m": dict(type=int, default=100, help="quantile-grid size (dist only)"),
     "--seed": dict(type=int, default=0),
-    "--threads": dict(type=int, default=None, help="accepted for compatibility; has no effect"),
 }
 
 
@@ -74,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compute per-trajectory object components (on by default)")
         p_fit.add_argument("--project-on-load", action="store_true",
                            help="repair invalid objects by metric projection on load")
-        _add_shared(p_fit, "--threads")
         p_fit.add_argument("--out", required=True, help=out_help)
 
     p_mise = sub.add_parser("mise", help="Monte-Carlo error table for a design")
@@ -87,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mise.add_argument("--components", type=int, default=3)
     p_mise.add_argument("--truth-debug", action="store_true",
                         help="feed the true surface into the eigen step (all errors ~ 0)")
-    _add_shared(p_mise, "--threads")
     p_mise.add_argument("--out", required=True, help="output CSV path")
 
     p_export = sub.add_parser("export-plots", help="re-emit plot CSVs from a fit artifact")

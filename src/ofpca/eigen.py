@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadRank, DegenerateSpectrum, InvalidSurface
+from .errors import BadRank, InvalidSurface
 from .kernel import KernelSurface, _check_time_grid, _OnGrid
 from .spaces import _count
 
@@ -73,20 +73,17 @@ class EigenSystem(_OnGrid):
 
     @property
     def explained_fractions(self) -> np.ndarray:
-        """Clipped retained eigenvalues over ``spectrum_total`` (zeros if it is 0)."""
+        """Clipped retained eigenvalues over ``spectrum_total`` (zeros if it is
+        0): entry j - 1 is component j's share of the clipped whole spectrum."""
         vals = np.clip(self.eigenvalues, 0.0, None)
         return vals / self.spectrum_total if self.spectrum_total > 0.0 else np.zeros_like(vals)
 
     def integral(self, j: int) -> float:
-        """Quadrature integral of the j-th eigenfunction (1-based j)."""
-        _check_component(self, j)
+        """Quadrature integral of the j-th eigenfunction (1-based j); BadRank
+        unless j names a retained component."""
+        if _count(j, "component", 1, BadRank) > self.num_retained:
+            raise BadRank(f"component {j} not retained (K={self.num_retained})")
         return float(np.dot(self.quad_weights, self.eigenfunctions[j - 1]))
-
-
-def _check_component(es: EigenSystem, j: int) -> None:
-    """Raise BadRank unless j (1-based) names a retained component."""
-    if _count(j, "component", 1, BadRank) > es.num_retained:
-        raise BadRank(f"component {j} not retained (K={es.num_retained})")
 
 
 def apply_sign_convention(funs: np.ndarray, quad_weights: np.ndarray) -> np.ndarray:
@@ -143,21 +140,6 @@ def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     funs = funs / norms[:, None]
     funs = apply_sign_convention(funs, w)
     return EigenSystem(vals, funs, surface.time_grid, spectrum_total=spectrum_total)
-
-
-def explained_fraction(es: EigenSystem, j: int) -> float:
-    """Fraction of the (clipped) whole spectrum carried by component j
-    (1-based).
-
-    Negative eigenvalues are clipped to zero in both the numerator and
-    ``es.spectrum_total``, so the fractions of all nonnegative components,
-    retained or not, sum to 1, and a component's fraction does not depend
-    on how many components were retained.
-    """
-    _check_component(es, j)
-    if es.spectrum_total <= 0.0:
-        raise DegenerateSpectrum("all clipped eigenvalues are zero")
-    return float(es.explained_fractions[j - 1])
 
 
 def reconstruct(es: EigenSystem) -> np.ndarray:

@@ -38,10 +38,6 @@ class InvalidSurface(OfpcaError):
     """A kernel surface is not symmetric or otherwise malformed."""
 
 
-class DegenerateSpectrum(OfpcaError):
-    """All clipped eigenvalues are zero; fractions are undefined."""
-
-
 class NonIntegrableEigenfunction(OfpcaError):
     """Eigenfunction integrates to (numerically) zero; the object
     principal component for this direction is undefined."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +42,12 @@ def frechet_mean_trajectory(sample: ObjectSample) -> ObjectTrajectory:
     """Pointwise Frechet mean curve of a sample.
 
     At each grid time this is the uniform-weight barycenter of the
-    sample slice: the coordinatewise average followed by metric
-    projection (a no-op for convex combinations up to rounding).
+    sample slice, the coordinatewise average: every space is convex, so
+    an average of admitted objects needs no projection, and
+    ``ObjectTrajectory`` admits it as it does any curve.
     """
-    avg = _coordinate_mean(sample.stacked_values)
-    return ObjectTrajectory(sample.space, sample.time_grid, project_coordinates(sample.space, avg))
+    return ObjectTrajectory(sample.space, sample.time_grid,
+                            _coordinate_mean(sample.stacked_values))
 
 
 def normalize_eigenfunction(es: EigenSystem, j: int) -> np.ndarray:
@@ -141,7 +141,8 @@ class FpcaFit:
 
     ``object_components[j]`` holds the (n, L) object components along
     component j+1 (None if skipped); ``skipped_components`` lists those
-    j+1, and ``object_fpcs[i][j]`` views them as ObjectPoints.
+    j+1.  Row i is the coordinate vector of trajectory i's component:
+    ``ObjectPoint(fit.mean.space, object_components[j][i])``.
     """
 
     surface: KernelSurface
@@ -155,15 +156,6 @@ class FpcaFit:
     def skipped_components(self) -> tuple[int, ...]:
         return tuple(j for j, comps in enumerate(self.object_components or (), 1)
                      if comps is None)
-
-    @cached_property
-    def object_fpcs(self) -> tuple[tuple[ObjectPoint | None, ...], ...] | None:
-        if self.object_components is None:
-            return None
-        columns = ([None] * len(self.scores) if comps is None
-                   else [ObjectPoint(self.mean.space, row) for row in comps]
-                   for comps in self.object_components)
-        return tuple(zip(*columns))
 
 
 def _numerical_rank(es: EigenSystem) -> int:

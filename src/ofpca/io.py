@@ -104,10 +104,11 @@ _DECODE = json.JSONDecoder().raw_decode
 
 class _JsonChunks:
     """A JSON file read ``_CHUNK`` characters at a time; only the text from
-    the cursor on is held.  Errors give their offset in the file."""
+    the cursor on is held.  Errors give their offset in the file.  ``last``
+    is the length of the last decoded value."""
 
     def __init__(self, fh):
-        self.fh, self.text, self.pos, self.base, self.eof = fh, "", 0, 0, False
+        self.fh, self.text, self.pos, self.base, self.eof, self.last = fh, "", 0, 0, False, 0
 
     def invalid(self, message: str, pos: int) -> SchemaError:
         return SchemaError(f"not valid JSON: {message} at char {self.base + pos}")
@@ -152,8 +153,12 @@ class _JsonChunks:
     def value(self, follow: str = ",]}"):
         """Decode the next value.  Text cut inside a value can still decode
         (``1.`` of ``1.5``), so the value counts only once one of
-        ``follow`` or the end of file comes after it."""
+        ``follow`` or the end of file comes after it.  Text no longer than
+        the last value is read on first, as the next value (an element
+        like the last) is likely cut in it and would be decoded twice."""
         self.peek()
+        while len(self.text) - self.pos <= self.last and self.more():
+            pass
         while True:
             try:
                 obj, end = _DECODE(self.text, self.pos)
@@ -164,7 +169,7 @@ class _JsonChunks:
                                    getattr(exc, "pos", self.pos)) from exc
             after = _SPACE.match(self.text, end).end()
             if after < len(self.text) and self.text[after] in follow or not self.more():
-                self.pos = end
+                self.pos, self.last = end, end - self.pos
                 return obj
 
 
@@ -344,10 +349,10 @@ def fit_to_dict(fit, warnings_list=()) -> dict:
             for i in range(fit.scores.shape[0])
         ]
         # compact display helper: uniform barycenter of each component's
-        # column of objects; derived output, not an estimation target
+        # column of objects, an average that stays in the convex space;
+        # derived output, not an estimation target
         doc["object_fpc_column_means"] = [
-            None if comps is None else project_coordinates(space, comps.mean(axis=0))
-            for comps in components
+            None if comps is None else comps.mean(axis=0) for comps in components
         ]
         doc["object_fpc_column_means_note"] = "derived display summary"
     return doc

@@ -138,9 +138,6 @@ class ObjectTrajectory:
     def n_times(self) -> int:
         return self.time_grid.size
 
-    def point(self, k: int) -> ObjectPoint:
-        return ObjectPoint(self.space, self.values[k])
-
 
 @dataclass(frozen=True)
 class ObjectSample:

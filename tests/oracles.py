@@ -238,7 +238,7 @@ def riemann_sum_minimizer(
     trajectory's own observed objects are searched.
     """
     if candidates is None:
-        candidates = [traj.point(k) for k in range(traj.n_times)]
+        candidates = [ObjectPoint(traj.space, row) for row in traj.values]
     if len(candidates) == 0:
         raise ValueError("riemann_sum_minimizer needs at least one candidate")
     if quad_weights is None:

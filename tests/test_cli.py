@@ -30,31 +30,30 @@ class TestCommandLineSurface:
     and the exit code of each error class."""
 
     FIT_OPTIONS = ["--space", "--components", "--explained-fraction", "--fpc-objects",
-                   "--no-fpc-objects", "--project-on-load", "--threads", "--out"]
+                   "--no-fpc-objects", "--project-on-load", "--out"]
     OPTIONS = {
         "simulate": ["--design", "--n", "--T", "--m", "--seed", "--out"],
         "fit": ["input", *FIT_OPTIONS],
         "scores": ["input", *FIT_OPTIONS],
         "mise": ["--design", "--n", "--runs", "--T", "--m", "--seed", "--components",
-                 "--truth-debug", "--threads", "--out"],
+                 "--truth-debug", "--out"],
         "export-plots": ["artifact", "--out"],
     }
     # (argv with only the required arguments, defaults it must parse to)
     DEFAULTS = [
         (["simulate", "--design", "dist", "--n", "5"], dict(n_times=51, m=100, seed=0)),
         (["fit", "in.json"], dict(components=4, fpc_objects=True, explained_fraction=None,
-                                  space=None, project_on_load=False, threads=None)),
+                                  space=None, project_on_load=False)),
         (["scores", "in.json"], dict(components=4, fpc_objects=True)),
         (["mise", "--design", "net"], dict(n="25,50,100", runs=100, n_times=51, m=100,
-                                           seed=0, components=3, truth_debug=False,
-                                           threads=None)),
+                                           seed=0, components=3, truth_debug=False)),
     ]
     # the error classes that exit 2, with OSError; every other library
     # error, and a failed linear-algebra routine, exit 3
     INPUT_FAULTS = {"InputError", "SchemaError", "InvalidObject", "SpaceMismatch",
                     "TooFewTrajectories", "BadRank", "BadWeights"}
     NUMERIC_FAULTS = {"OfpcaError", "DegenerateVariance", "InvalidSurface",
-                      "DegenerateSpectrum", "NonIntegrableEigenfunction"}
+                      "NonIntegrableEigenfunction"}
 
     def test_options_and_defaults(self):
         parser = build_parser()
@@ -231,15 +230,6 @@ class TestFitCommand:
     def test_space_flag_guard(self, tmp_path):
         assert run(["fit", DATA / "scalar_fixture.json", "--space", "quantile",
                     "--out", tmp_path / "fit"]) == 2
-
-    def test_byte_identical_across_threads(self, tmp_path):
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "3",
-                    "--threads", "1", "--out", out1]) == 0
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "3",
-                    "--threads", "4", "--out", out4]) == 0
-        for name in ("fit.json", "surface.csv", "eigenfunctions.csv", "scores.csv"):
-            assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
     def test_project_on_load_flag(self, tmp_path):
         doc = {"space": "quantile", "dim": 2, "time_grid": [0.0, 1.0],
@@ -503,14 +493,6 @@ class TestUndecodableInput:
         assert err.startswith("error: not valid JSON: " + message)
         assert err.endswith(f" {len(head) + shift}")
         assert not (tmp_path / "out").exists()
-
-
-class TestThreadEnv:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OFPCA_THREADS", "2")
-        out = tmp_path / "fit"
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
-                    "--out", out]) == 0
 
 
 class TestBlasThreads:

@@ -19,7 +19,6 @@ from ofpca import (
     ObjectSample,
     SpaceKind,
     eigendecompose,
-    explained_fraction,
     fit_fpca,
     jacobi_polynomial,
     mise_report,
@@ -56,7 +55,6 @@ COUNTS = [
     ("eigendecompose.k", "k", 1, BadRank, lambda v: eigendecompose(SURFACE, k=v)),
     ("fit_fpca.n_components", "k", 1, BadRank, lambda v: fit_fpca(SAMPLE, n_components=v)),
     ("EigenSystem.integral", "component", 1, BadRank, lambda v: EIGEN.integral(v)),
-    ("explained_fraction", "component", 1, BadRank, lambda v: explained_fraction(EIGEN, v)),
 ]
 
 

@@ -5,15 +5,14 @@ import pytest
 
 from ofpca import (
     BadRank,
-    DegenerateSpectrum,
     InvalidSurface,
     KernelSurface,
     eigendecompose,
-    explained_fraction,
     normalize_eigenfunction,
     reconstruct,
     trapezoid_weights,
 )
+from ofpca.eigen import apply_sign_convention
 from ofpca.sim import distribution_sim_basis, quadrature_orthonormalize
 
 
@@ -114,6 +113,21 @@ class TestConventions:
                     if big.size:
                         assert row[big[0]] > 0
 
+    def test_sign_convention_edges(self):
+        grid = np.linspace(0, 1, 41)
+        w = trapezoid_weights(grid)
+        cosine = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
+        # an integral of about -5e-17 counts as zero: the first large
+        # entry decides, and it comes back positive
+        assert abs(np.dot(w, cosine)) < 1e-15
+        assert apply_sign_convention(-cosine[None], w)[0, 0] > 0
+        # an integral of -1e-6 is not zero, so a row that starts positive
+        # is flipped all the same
+        row = cosine - 1e-6
+        assert np.dot(w, row) == pytest.approx(-1e-6, rel=1e-6) and row[0] > 0
+        flipped = apply_sign_convention(row[None], w)[0]
+        assert np.array_equal(flipped, -row) and np.dot(w, flipped) > 0
+
     def test_bad_rank(self):
         grid = np.linspace(0, 1, 5)
         w = trapezoid_weights(grid)
@@ -157,7 +171,7 @@ class TestExplainedFraction:
         w = trapezoid_weights(grid)
         phi = unit_norm_function(grid, w, seed=2)
         es = eigendecompose(KernelSurface(grid, 2.0 * np.outer(phi, phi)), k=1)
-        assert explained_fraction(es, 1) == pytest.approx(1.0, abs=1e-12)
+        assert es.explained_fractions[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_known_spectrum(self):
         # the denominator is the whole spectrum, so retaining fewer
@@ -170,7 +184,7 @@ class TestExplainedFraction:
         for k in (1, 2, 3):
             es = eigendecompose(surface, k=k)
             assert es.spectrum_total == pytest.approx(19.75, abs=1e-7)
-            assert explained_fraction(es, 1) == pytest.approx(12.0 / 19.75, abs=1e-7)
+            assert es.explained_fractions[0] == pytest.approx(12.0 / 19.75, abs=1e-7)
 
     def test_clipped_negative(self):
         grid = np.linspace(0, 1, 21)
@@ -180,13 +194,14 @@ class TestExplainedFraction:
         )
         vals = (basis.T * np.array([3.0, -1.0])) @ basis
         es = eigendecompose(KernelSurface(grid, vals), k=21)
-        assert explained_fraction(es, 1) == pytest.approx(1.0, abs=1e-10)
+        assert es.explained_fractions[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_spectrum(self):
+        # no share of a zero spectrum: every fraction reads zero
         grid = np.linspace(0, 1, 11)
         es = eigendecompose(KernelSurface(grid, np.zeros((11, 11))), k=2)
-        with pytest.raises(DegenerateSpectrum):
-            explained_fraction(es, 1)
+        assert es.spectrum_total == 0.0
+        assert np.array_equal(es.explained_fractions, np.zeros(2))
 
 
 class TestReconstruction:

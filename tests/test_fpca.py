@@ -28,6 +28,7 @@ from ofpca import (
     sympsd_space,
     trapezoid_weights,
 )
+from ofpca.fpca import _fraction_count
 from ofpca.sim import quadrature_orthonormalize
 
 from oracles import gaussian_quantiles, monotone_lattice, riemann_sum_minimizer
@@ -84,11 +85,12 @@ class TestMeanTrajectory:
         sample = ObjectSample(space, grid, vals)
         mean = frechet_mean_trajectory(sample)
         for t in range(4):
-            center = mean.point(t)
-            base = sum(squared_distance(center, tr.point(t)) for tr in sample.trajectories)
+            center = ObjectPoint(space, mean.values[t])
+            slice_t = [ObjectPoint(space, row) for row in vals[:, t]]
+            base = sum(squared_distance(center, p) for p in slice_t)
             for _ in range(100):
                 cand = ObjectPoint(space, np.sort(center.data + rng.normal(scale=0.2, size=3)))
-                val = sum(squared_distance(cand, tr.point(t)) for tr in sample.trajectories)
+                val = sum(squared_distance(cand, p) for p in slice_t)
                 assert base <= val + 1e-10
 
     def test_continuity_shrinks_with_grid(self):
@@ -372,6 +374,16 @@ class TestFitPipeline:
         with pytest.raises(BadRank, match="explained fraction must be in"):
             fit_fpca(sample, explained_fraction=fraction)
 
+    def test_fraction_count_forgives_round_off(self):
+        # ten equal eigenvalues: the cumulative fraction of eight sums to
+        # 0.7999999999999999, which still reaches a fraction of 0.8
+        grid = np.linspace(0, 1, 41)
+        rows = quadrature_orthonormalize(np.cos(np.pi * np.outer(np.arange(10), grid)),
+                                         trapezoid_weights(grid))
+        es = EigenSystem(np.ones(10), rows, grid)
+        assert np.cumsum(es.explained_fractions)[7] < 0.8
+        assert _fraction_count(es, 0.8) == 8
+
     def test_fit_shapes_and_feasibility(self):
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 13)
@@ -381,13 +393,12 @@ class TestFitPipeline:
         fit = fit_fpca(sample, n_components=3)
         assert fit.scores.shape == (6, 3)
         assert fit.distance_curves.shape == (6, 13)
-        assert fit.object_fpcs is not None
-        for row in fit.object_fpcs:
-            for j, p in enumerate(row, start=1):
-                if j in fit.skipped_components:
-                    assert p is None
-                else:
-                    assert p is not None and np.all(np.diff(p.data) >= -1e-12)
+        assert fit.object_components is not None
+        for j, comps in enumerate(fit.object_components, start=1):
+            if j in fit.skipped_components:
+                assert comps is None
+            else:
+                assert comps is not None and np.all(np.diff(comps, axis=1) >= -1e-12)
 
     def test_fit_skips_zero_integral_components(self):
         # a rank-2 sample whose top eigenfunction has a zero integral; that
@@ -425,14 +436,14 @@ class TestFitPipeline:
         for traj, row in zip(sample.trajectories, sample.stacked_values):
             assert traj.values.tobytes() == row.tobytes()
         fit = fit_fpca(sample, n_components=2)
-        for j, comps in enumerate(fit.object_components):
-            for i, row in enumerate(comps):
-                assert fit.object_fpcs[i][j].data.tobytes() == row.tobytes()
+        for comps in fit.object_components:
+            for row in comps:
+                assert ObjectPoint(sample.space, row).data.tobytes() == row.tobytes()
 
     def test_scores_ignore_object_fpc_toggle(self):
         rng = np.random.default_rng(8)
         sample = scalar_sample(rng.normal(size=(5, 9)))
         a = fit_fpca(sample, n_components=2, fpc_objects=True)
         b = fit_fpca(sample, n_components=2, fpc_objects=False)
-        assert b.object_fpcs is None
+        assert b.object_components is None
         assert np.array_equal(a.scores, b.scores)

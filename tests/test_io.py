@@ -263,6 +263,30 @@ class TestChunkedReader:
                 assert got.stacked_values.tobytes() == np.asarray(
                     want["trajectories"], float).tobytes()
 
+    def test_equal_elements_decode_once(self, tmp_path, monkeypatch):
+        # a chunk of about three elements cuts most of them; the reader
+        # reads on before decoding one no longer than the last, so a cut
+        # element is not decoded, failed and decoded again
+        row = np.sort(np.random.default_rng(0).normal(size=(11, 5)), axis=1)
+        values = np.broadcast_to(row, (200, 11, 5))
+        path = tmp_path / "equal.json"
+        ofio.save_trajectory_file(ObjectSample(quantile_space(5), np.linspace(0, 1, 11),
+                                               values), path)
+        failed = []
+
+        def decode(text, pos, _decode=ofio._DECODE):
+            try:
+                return _decode(text, pos)
+            except ValueError:
+                failed.append(pos)
+                raise
+
+        monkeypatch.setattr(ofio, "_DECODE", decode)
+        monkeypatch.setattr(ofio, "_CHUNK", 3 * path.stat().st_size // 200)
+        got = ofio.load_trajectory_file(path)
+        assert got.stacked_values.tobytes() == values.tobytes()
+        assert len(failed) <= 1
+
 
 class TestFitArtifact:
     def test_fit_dict_round_trips(self, tmp_path):

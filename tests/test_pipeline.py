@@ -8,14 +8,12 @@ import pytest
 
 import ofpca
 from ofpca import (
-    BadRank,
     ObjectPoint,
     ObjectSample,
     adjacency_space,
     distance,
     eigendecompose,
     estimate_cov_surface,
-    explained_fraction,
     fit_fpca,
     quantile_space,
     scalar_space,
@@ -80,11 +78,11 @@ class TestMatrixSpacesEndToEnd:
         rng = np.random.default_rng(3)
         sample = self.psd_sample(rng)
         fit = fit_fpca(sample, n_components=2)
-        for row in fit.object_fpcs:
-            for j, p in enumerate(row, start=1):
-                if j in fit.skipped_components:
-                    continue
-                eigs = np.linalg.eigvalsh(p.matrix())
+        for comps in fit.object_components:
+            if comps is None:
+                continue
+            for row in comps:
+                eigs = np.linalg.eigvalsh(ObjectPoint(sample.space, row).matrix())
                 assert eigs.min() >= -1e-10
         assert total_variance(fit.surface) >= -1e-8
 
@@ -151,15 +149,15 @@ class TestDegenerateDimensions:
         assert np.array_equal(fit.object_components[0], np.zeros((3, 1)))
 
     def test_explained_fraction_component_out_of_range(self):
+        # one fraction per retained component, the rest of the spectrum
+        # counted in the denominator only
         rng = np.random.default_rng(5)
         grid = np.linspace(0, 1, 8)
         X = rng.normal(size=(5, 8))
         sample = ObjectSample(scalar_space(), grid, X[..., None])
         es = eigendecompose(estimate_cov_surface(sample), k=3)
-        with pytest.raises(BadRank):
-            explained_fraction(es, 4)
-        with pytest.raises(BadRank):
-            explained_fraction(es, 0)
+        assert es.explained_fractions.shape == (3,)
+        assert 0.0 < es.explained_fractions.sum() < 1.0
 
 
 class TestSimulatedTraceInvariant:

@@ -12,6 +12,7 @@ from ofpca import (
     DistributionSimConfig,
     InvalidObject,
     NetworkSimConfig,
+    ObjectPoint,
     distance,
     estimate_cov_surface,
     jacobi_polynomial,
@@ -141,7 +142,8 @@ class TestDistributionGenerator:
         mu_b, s_b = distribution_curve_params(-1.0, 0.2, 2.5, 1.0, grid)
         for k in range(3):
             closed = np.sqrt((mu_a[k] - mu_b[k]) ** 2 + (s_a[k] - s_b[k]) ** 2)
-            assert distance(a.point(k), b.point(k)) == pytest.approx(closed, rel=1e-2)
+            pa, pb = (ObjectPoint(traj.space, traj.values[k]) for traj in (a, b))
+            assert distance(pa, pb) == pytest.approx(closed, rel=1e-2)
 
     def test_monte_carlo_population_covariance(self):
         # covariance kernel at (0.3, 0.7) against the analytic rank-3 form
