@@ -15,7 +15,7 @@ import ofpca as of
 # simulate a sample of distribution-valued curves
 # ---------------------------------------------------------------------
 cfg = of.DistributionSimConfig(n=200, n_times=51, m=100, seed=12345)
-sample = of.simulate_distributions(cfg)
+sample = of.simulate(cfg)
 print(f"sample: n={sample.n} trajectories, T={sample.time_grid.size} time points, "
       f"space={sample.space.tag}(m={sample.space.dim})")
 

@@ -11,7 +11,7 @@ import ofpca as of
 from ofpca.sim import NETWORK_EIGENVALUES
 
 cfg = of.NetworkSimConfig(n=150, n_times=51, seed=777)
-sample = of.simulate_networks(cfg)
+sample = of.simulate(cfg)
 print(f"sample: n={sample.n}, T={sample.time_grid.size}, "
       f"space={sample.space.tag}({sample.space.dim} nodes)")
 

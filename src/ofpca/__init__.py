@@ -50,8 +50,6 @@ from .sim import (
     mise_report,
     network_sim_basis,
     simulate,
-    simulate_distributions,
-    simulate_networks,
     true_eigensystem,
 )
 from .spaces import (
@@ -111,8 +109,6 @@ __all__ = [
     "reconstruct",
     "scalar_space",
     "simulate",
-    "simulate_distributions",
-    "simulate_networks",
     "squared_distance",
     "sympsd_space",
     "total_variance",

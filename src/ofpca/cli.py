@@ -69,8 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
         p_fit.add_argument("--explained-fraction", type=float, default=None, metavar="F",
                            help="keep the smallest K whose cumulative explained "
                                 "fraction reaches F, in (0, 1] (capped by --components)")
-        p_fit.add_argument("--fpc-objects", action=argparse.BooleanOptionalAction, default=True,
-                           help="compute per-trajectory object components (on by default)")
+        if name == "fit":  # object components never reach the scores file
+            p_fit.add_argument("--fpc-objects", action=argparse.BooleanOptionalAction,
+                               default=True,
+                               help="compute per-trajectory object components (on by default)")
         p_fit.add_argument("--project-on-load", action="store_true",
                            help="repair invalid objects by metric projection on load")
         p_fit.add_argument("--out", required=True, help=out_help)
@@ -139,7 +141,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_scores(args) -> int:
-    # object components never reach the scores file
     fit, _ = _run_fit(args, fpc_objects=False)
     io.write_scores_csv(args.out, fit.scores)
     print(f"wrote {args.out}")

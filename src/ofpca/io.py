@@ -307,7 +307,7 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
         _check_shape(misfit[1], f"trajectories[{misfit[0]}]", shape)
     if project_on_load:
         values = project_coordinates(space, values)
-    values.flags.writeable = False
+    grid.flags.writeable = values.flags.writeable = False
     try:
         return ObjectSample(space, grid, values)
     except (InvalidObject, TooFewTrajectories) as exc:

@@ -95,16 +95,19 @@ def _check_time_grid(time_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def _admit(obj, field: str, ndim: int) -> None:
-    """Check ``obj``'s time grid and its array ``field`` ((T, L) with ndim
-    2, or (n >= 2, T, L) with ndim 3), validate (and repair within
-    tolerance) the array as one block, and set both on the frozen ``obj``
-    read-only.  A read-only float64 array is kept, as no one can write
-    through it; anything else is copied, so the caller's stays its own."""
-    t = _check_time_grid(obj.time_grid).copy()
-    a = getattr(obj, field)
+def _own(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array, as no one can write
+    through it; otherwise a float64 copy, so the caller's stays its own."""
     keep = isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
-    values = a if keep else np.array(a, dtype=float)
+    return a if keep else np.array(a, dtype=float)
+
+
+def _admit(obj, field: str, ndim: int) -> None:
+    """Check ``obj``'s time grid and its array ``field`` ((T, L) with ndim 2, or
+    (n >= 2, T, L) with ndim 3), validate (and repair within tolerance) the array as
+    one block, and set both, as ``_own`` gives them, read-only on the frozen ``obj``."""
+    t = _check_time_grid(_own(obj.time_grid))
+    values = _own(getattr(obj, field))
     if values.ndim != ndim or values.shape[-2:] != (t.size, obj.space.data_len):
         raise InvalidObject(
             f"values must have shape (..., T={t.size}, {obj.space.data_len}), got {values.shape}"
@@ -146,6 +149,7 @@ class ObjectSample:
     are lazy views of its rows.  The array is validated as one block and
     copied if it is writable, so later writes to the caller's array do not
     reach the sample; a read-only float64 array (a memory map too) is kept.
+    So is a read-only grid (``_own``), which the trajectories share.
     """
 
     space: SpaceKind

@@ -4,8 +4,9 @@ their true eigensystems, and the Monte-Carlo error harness.
 Both designs draw four independent factors per trajectory and mix them
 through fixed polynomial directions, so the population auto-covariance
 is a known rank-3 kernel and estimation error can be measured exactly.
-``true_eigensystem(cfg)`` returns that kernel as an ``EigenSystem`` on
-the config's grid, and ``mise_report`` measures against it.
+Each design is one config class (see ``_SimConfig``): ``simulate(cfg)``
+draws its sample, ``true_eigensystem(cfg)`` returns its kernel as an
+``EigenSystem`` on the config's grid, and ``mise_report`` measures against it.
 Random numbers come from counter-based Philox streams, one per factor,
 each drawing its whole column in trajectory order; trajectory i uses
 only the first i + 1 draws of each stream, so enlarging a sample extends
@@ -114,52 +115,14 @@ def _network_directions(grid: bytes) -> np.ndarray:
     return directions
 
 
-class _SimConfig:
-    """What both designs' configs share: count fields checked on construction,
-    a sample of (n, T, ``_data_len``) floats that numpy can index, and the time grid."""
-
-    def __post_init__(self):
-        least = {"n": 2, "n_times": 3, "m": 2, "seed": 0}
-        for f in fields(self):
-            object.__setattr__(self, f.name, _count(getattr(self, f.name), f.name, least[f.name]))
-        if self.n * self.n_times * self._data_len * 8 > np.iinfo(np.intp).max:
-            raise InvalidObject(f"an (n, T, {self._data_len}) sample is too big for numpy to index")
-
-    @property
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_times)
-
-
-@dataclass(frozen=True)
-class DistributionSimConfig(_SimConfig):
-    """Sample size, time-grid size, quantile-grid size, and seed."""
-
-    n: int
-    n_times: int = 51
-    m: int = 100
-    seed: int = 0
-    _data_len = property(lambda self: self.m)
-
-
-@dataclass(frozen=True)
-class NetworkSimConfig(_SimConfig):
-    """Sample size, time-grid size, and seed; the node structure is fixed
-    at 10 nodes in two communities of 5."""
-
-    n: int
-    n_times: int = 51
-    seed: int = 0
-    _data_len = NETWORK_NODES**2
-
-
-def _factor_draws(cfg, kinds, scales) -> np.ndarray:
-    """(4, n) factor draws: row k is ``scales[k]`` times n ``kinds[k]``
-    ("normal" or "uniform" on [0, 1)) draws from factor k's own Philox
-    stream, spawned from the seed and read in trajectory order."""
+def _factor_draws(cfg) -> np.ndarray:
+    """(4, n) factor draws: row k is n draws of the k-th (kind, scale) of
+    ``cfg._FACTORS`` ("normal", or "uniform" on [0, 1), times scale) from factor
+    k's own Philox stream, spawned from the seed and read in trajectory order."""
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     return np.array([
         scale * getattr(np.random.Generator(np.random.Philox(ss)), kind)(size=cfg.n)
-        for kind, scale, ss in zip(kinds, scales, streams)
+        for (kind, scale), ss in zip(cfg._FACTORS, streams)
     ])
 
 
@@ -188,21 +151,6 @@ def _distribution_values(mu, sigma, probes) -> np.ndarray:
     values = sigma[..., None] * probes
     values += mu[..., None]
     return values
-
-
-def simulate_distributions(cfg: DistributionSimConfig) -> ObjectSample:
-    """Sample of Gaussian-quantile trajectories: mean 1 + U phi1 + V phi3
-    with U ~ N(0, 12), V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with
-    W ~ sqrt(72) Unif(0, 1), Z ~ 3 Unif(0, 1)."""
-    if not isinstance(cfg, DistributionSimConfig):
-        raise InvalidObject(f"a DistributionSimConfig is needed, got {type(cfg).__name__}")
-    draws = _factor_draws(cfg, ("normal", "normal", "uniform", "uniform"),
-                          (np.sqrt(12.0), 1.0, np.sqrt(72.0), 3.0))
-    grid = cfg.time_grid
-    mu, sigma = distribution_curve_params(*draws, grid)
-    values = _distribution_values(mu, sigma, quantile_probes(cfg.m))
-    values.flags.writeable = False
-    return ObjectSample(quantile_space(cfg.m), grid, values)
 
 
 def network_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -238,25 +186,80 @@ def _network_values(p1, p2) -> np.ndarray:
     return weights[..., _edge_classes()]
 
 
-def simulate_networks(cfg: NetworkSimConfig) -> ObjectSample:
-    """Sample of two-community network trajectories with factor draws
-    U ~ Unif(0, 0.4), V ~ Unif(0, 0.1), W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1)."""
-    if not isinstance(cfg, NetworkSimConfig):
-        raise InvalidObject(f"a NetworkSimConfig is needed, got {type(cfg).__name__}")
-    draws = _factor_draws(cfg, ("uniform",) * 4, (0.4, 0.1, 0.3, 0.1))
-    grid = cfg.time_grid
-    values = _network_values(*network_curve_params(*draws, grid))
-    values.flags.writeable = False
-    return ObjectSample(adjacency_space(NETWORK_NODES), grid, values)
+class _SimConfig:
+    """A design's config: count fields checked on construction (an (n, T,
+    ``space.data_len``) sample must be one numpy can index), the time grid, the
+    object ``space``, the factor laws ``_FACTORS`` as (kind, scale) pairs, the
+    ``_values(draws, grid)`` of (4, n) draws, and the truth's ``_EIGENVALUES``
+    and ``_directions()``."""
+
+    def __post_init__(self):
+        least = {"n": 2, "n_times": 3, "m": 2, "seed": 0}
+        for f in fields(self):
+            object.__setattr__(self, f.name, _count(getattr(self, f.name), f.name, least[f.name]))
+        L = self.space.data_len
+        if self.n * self.n_times * L * 8 > np.iinfo(np.intp).max:
+            raise InvalidObject(f"an (n, T, {L}) sample is too big for numpy to index")
+
+    @property
+    def time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_times)
+
+
+@dataclass(frozen=True)
+class DistributionSimConfig(_SimConfig):
+    """Sample size, time-grid size, quantile-grid size, and seed of the
+    Gaussian-quantile design: mean 1 + U phi1 + V phi3 with U ~ N(0, 12),
+    V ~ N(0, 1); scale 3 + W phi2 + Z phi3 with W ~ sqrt(72) Unif(0, 1),
+    Z ~ 3 Unif(0, 1)."""
+
+    n: int
+    n_times: int = 51
+    m: int = 100
+    seed: int = 0
+    _FACTORS = (("normal", np.sqrt(12.0)), ("normal", 1.0),
+                ("uniform", np.sqrt(72.0)), ("uniform", 3.0))
+    _EIGENVALUES = DISTRIBUTION_EIGENVALUES
+    space = property(lambda self: quantile_space(self.m))
+
+    def _values(self, draws, grid) -> np.ndarray:
+        mu, sigma = distribution_curve_params(*draws, grid)
+        return _distribution_values(mu, sigma, quantile_probes(self.m))
+
+    def _directions(self) -> np.ndarray:
+        return distribution_sim_basis(self.time_grid)
+
+
+@dataclass(frozen=True)
+class NetworkSimConfig(_SimConfig):
+    """Sample size, time-grid size, and seed of the two-community network
+    design, with factor draws U ~ Unif(0, 0.4), V ~ Unif(0, 0.1),
+    W ~ Unif(0, 0.3), Z ~ Unif(0, 0.1); the node structure is fixed at 10
+    nodes in two communities of 5."""
+
+    n: int
+    n_times: int = 51
+    seed: int = 0
+    _FACTORS = (("uniform", 0.4), ("uniform", 0.1), ("uniform", 0.3), ("uniform", 0.1))
+    _EIGENVALUES = NETWORK_EIGENVALUES
+    space = adjacency_space(NETWORK_NODES)
+
+    def _values(self, draws, grid) -> np.ndarray:
+        return _network_values(*network_curve_params(*draws, grid))
+
+    def _directions(self) -> np.ndarray:
+        return _network_directions(self.time_grid.tobytes())
 
 
 def simulate(cfg) -> ObjectSample:
-    """Dispatch on the config type."""
-    if isinstance(cfg, DistributionSimConfig):
-        return simulate_distributions(cfg)
-    if isinstance(cfg, NetworkSimConfig):
-        return simulate_networks(cfg)
-    raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
+    """The sample of the design that ``cfg`` configures; ``InvalidObject``
+    for anything but a simulation config."""
+    if not isinstance(cfg, _SimConfig):
+        raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
+    grid = cfg.time_grid
+    values = cfg._values(_factor_draws(cfg), grid)
+    grid.flags.writeable = values.flags.writeable = False
+    return ObjectSample(cfg.space, grid, values)
 
 
 def quadrature_orthonormalize(rows: np.ndarray, quad_weights: np.ndarray) -> np.ndarray:
@@ -282,18 +285,13 @@ def true_eigensystem(cfg) -> EigenSystem:
     or on a grid too coarse for the directions to be orthonormal within
     1e-6: the network directions vanish at both ends, so T = 3 and 4 are.
     """
-    if isinstance(cfg, DistributionSimConfig):
-        vals, basis = DISTRIBUTION_EIGENVALUES, distribution_sim_basis(cfg.time_grid)
-    elif isinstance(cfg, NetworkSimConfig):
-        vals = NETWORK_EIGENVALUES
-        basis = _network_directions(cfg.time_grid.tobytes())
-    else:
+    if not isinstance(cfg, _SimConfig):
         raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
     w = trapezoid_weights(cfg.time_grid)
-    funs = quadrature_orthonormalize(basis, w)
-    if not np.abs((funs * w) @ funs.T - np.eye(len(vals))).max() <= 1e-6:
+    funs = quadrature_orthonormalize(cfg._directions(), w)
+    if not np.abs((funs * w) @ funs.T - np.eye(len(funs))).max() <= 1e-6:
         raise InvalidObject("truth eigenfunctions are not quadrature-orthonormal")
-    return EigenSystem(np.array(vals), funs, cfg.time_grid)
+    return EigenSystem(np.array(cfg._EIGENVALUES), funs, cfg.time_grid)
 
 
 def run_seed(seed: int, run_index: int) -> int:

@@ -1,0 +1,114 @@
+"""Apply one-line mutants to a copy of the code and report which the
+tier-1 suite kills.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py              # every mutant in MUTANTS
+    python tests/mutants.py sign-tol     # only the named ones
+
+For each row of ``MUTANTS`` it copies the files the suite reads (``src``,
+``tests``, ``demos``, ``perfbench``, ``pytest.ini``, ``BENCHMARK.json``)
+to a temporary directory, replaces the row's old text with its new text
+there (the checkout is never edited), and runs ``python -m pytest -x -q``
+in the copy.  A failing run kills the mutant; the first failing test is
+printed.  For a survivor it runs the copy's ``tests/output_digests.py``
+and compares with the checkout's: a survivor whose output bytes change
+is a test gap, one whose bytes stay the same is dead code.  A row whose
+old text is not in its file exactly once is reported as stale.  This is
+a script, not a test: a survivor takes as long as the whole suite.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "demos", "perfbench", "pytest.ini", "BENCHMARK.json")
+
+#: (name, file, old text, new text)
+MUTANTS = [
+    ("frechet-weight-tol", "src/ofpca/fpca.py",
+     "if abs(total - 1.0) > 1e-8:", "if abs(total - 1.0) > 1e-2:"),
+    ("surface-symmetry-tol", "src/ofpca/kernel.py",
+     "> 1e-12 * np.abs(vals).max()", "> 1e-6 * np.abs(vals).max()"),
+    ("min-eigenfunction-integral", "src/ofpca/fpca.py",
+     "MIN_EIGENFUNCTION_INTEGRAL = 1e-6", "MIN_EIGENFUNCTION_INTEGRAL = 1e-3"),
+    ("eigen-gram-tol", "src/ofpca/eigen.py",
+     "np.abs(gram - np.eye(vals.size)).max() > 1e-8",
+     "np.abs(gram - np.eye(vals.size)).max() > 1e-2"),
+    ("eigen-descending-tol", "src/ofpca/eigen.py",
+     "np.any(np.diff(vals) > 1e-12)", "np.any(np.diff(vals) > 1e-3)"),
+    ("numerical-rank-cut", "src/ofpca/fpca.py",
+     "cut = es.time_grid.size * np.finfo(float).eps", "cut = np.finfo(float).eps"),
+    ("sign-zero-branch", "src/ofpca/eigen.py",
+     "if big.size and funs[j, big[0]] < 0:", "if big.size and funs[j, big[0]] > 0:"),
+    ("sign-tol", "src/ofpca/eigen.py",
+     "SIGN_INTEGRAL_TOL = 1e-9", "SIGN_INTEGRAL_TOL = 1e-3"),
+    ("fraction-slack", "src/ofpca/fpca.py",
+     "fraction - 1e-12) + 1)", "fraction) + 1)"),
+    ("eigen-symmetrize", "src/ofpca/eigen.py",
+     "    b = 0.5 * (b + b.T)\n", ""),
+    ("correlation-clamp", "src/ofpca/kernel.py",
+     "return float(np.clip(rho, -1.0, 1.0))", "return float(rho)"),
+]
+
+
+def copy_tree(dest: pathlib.Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "_work", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def output_digests(root: pathlib.Path) -> str:
+    return subprocess.run([sys.executable, "tests/output_digests.py"], cwd=root, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def first_failure(out: str) -> str:
+    failed = [line.split(" - ")[0] for line in out.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0].split(" ", 1)[1] if failed else (out.strip().splitlines() or ["?"])[-1]
+
+
+def run_mutant(path, old, new, want_digests) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        copy_tree(root)
+        target = root / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "stale: old text not found exactly once"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider"], cwd=root, env=env, capture_output=True,
+                              text=True)
+        if proc.returncode != 0:
+            return f"killed by {first_failure(proc.stdout)}"
+        same = output_digests(root) == want_digests
+        return "survived: dead code (bytes same)" if same else "survived: test gap (bytes change)"
+
+
+def main(names) -> int:
+    rows = [row for row in MUTANTS if not names or row[0] in names]
+    unknown = set(names) - {row[0] for row in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    want_digests = output_digests(ROOT)
+    for name, path, old, new in rows:
+        start = time.perf_counter()
+        result = run_mutant(path, old, new, want_digests)
+        print(f"{name:28s} {time.perf_counter() - start:6.1f} s  {result}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

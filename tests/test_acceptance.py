@@ -32,8 +32,7 @@ from ofpca import (
     quantile_space,
     reconstruct,
     scalar_space,
-    simulate_distributions,
-    simulate_networks,
+    simulate,
     sympsd_space,
     trapezoid_weights,
 )
@@ -89,7 +88,7 @@ def test_criterion_2_distribution_eigenstructure(capsys):
     runs = []
     for r in range(20):
         cfg = DistributionSimConfig(n=400, n_times=51, m=100, seed=31_000 + r)
-        sample = simulate_distributions(cfg)
+        sample = simulate(cfg)
         es = eigendecompose(estimate_cov_surface(sample), k=3)
         runs.append(es.eigenvalues)
     mean_vals = np.mean(runs, axis=0)
@@ -132,7 +131,7 @@ def test_criterion_4_network_mise_and_eigenvalues(capsys):
     vals = []
     for r in range(5):
         cfg = NetworkSimConfig(n=400, n_times=51, seed=54_000 + r)
-        es = eigendecompose(estimate_cov_surface(simulate_networks(cfg)), k=3)
+        es = eigendecompose(estimate_cov_surface(simulate(cfg)), k=3)
         vals.append(es.eigenvalues)
     mean_vals = np.mean(vals, axis=0)
     top2_ok = (abs(mean_vals[0] - 0.266) <= 0.15 * 0.266

@@ -29,12 +29,12 @@ class TestCommandLineSurface:
     """The options each command accepts, the defaults that change results,
     and the exit code of each error class."""
 
-    FIT_OPTIONS = ["--space", "--components", "--explained-fraction", "--fpc-objects",
-                   "--no-fpc-objects", "--project-on-load", "--out"]
     OPTIONS = {
         "simulate": ["--design", "--n", "--T", "--m", "--seed", "--out"],
-        "fit": ["input", *FIT_OPTIONS],
-        "scores": ["input", *FIT_OPTIONS],
+        "fit": ["input", "--space", "--components", "--explained-fraction", "--fpc-objects",
+                "--no-fpc-objects", "--project-on-load", "--out"],
+        "scores": ["input", "--space", "--components", "--explained-fraction",
+                   "--project-on-load", "--out"],
         "mise": ["--design", "--n", "--runs", "--T", "--m", "--seed", "--components",
                  "--truth-debug", "--out"],
         "export-plots": ["artifact", "--out"],
@@ -44,7 +44,7 @@ class TestCommandLineSurface:
         (["simulate", "--design", "dist", "--n", "5"], dict(n_times=51, m=100, seed=0)),
         (["fit", "in.json"], dict(components=4, fpc_objects=True, explained_fraction=None,
                                   space=None, project_on_load=False)),
-        (["scores", "in.json"], dict(components=4, fpc_objects=True)),
+        (["scores", "in.json"], dict(components=4)),
         (["mise", "--design", "net"], dict(n="25,50,100", runs=100, n_times=51, m=100,
                                            seed=0, components=3, truth_debug=False)),
     ]

@@ -5,6 +5,7 @@ import pytest
 
 from ofpca import (
     BadRank,
+    EigenSystem,
     InvalidSurface,
     KernelSurface,
     eigendecompose,
@@ -127,6 +128,20 @@ class TestConventions:
         assert np.dot(w, row) == pytest.approx(-1e-6, rel=1e-6) and row[0] > 0
         flipped = apply_sign_convention(row[None], w)[0]
         assert np.array_equal(flipped, -row) and np.dot(w, flipped) > 0
+
+    def test_gram_and_order_tolerances(self):
+        # h = 1 and a unit-norm cosine g are quadrature-orthonormal
+        grid = np.linspace(0, 1, 41)
+        w = trapezoid_weights(grid)
+        h = np.ones_like(grid)
+        g = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
+        g /= np.sqrt(np.dot(w, g * g))
+        EigenSystem(np.array([1.0, 1.0]), np.stack([h, g]), grid)
+        # a norm off by 1e-6 is not orthonormal; a rise of 1e-9 is not descending
+        with pytest.raises(InvalidSurface, match="quadrature-orthonormal"):
+            EigenSystem(np.array([1.0]), np.stack([(1 + 1e-6) * h]), grid)
+        with pytest.raises(InvalidSurface, match="descending"):
+            EigenSystem(np.array([1.0, 1.0 + 1e-9]), np.stack([h, g]), grid)
 
     def test_bad_rank(self):
         grid = np.linspace(0, 1, 5)

@@ -5,6 +5,7 @@ import pytest
 
 from ofpca import (
     BadRank,
+    BadWeights,
     DistributionSimConfig,
     EigenSystem,
     InvalidObject,
@@ -22,13 +23,12 @@ from ofpca import (
     object_fpc,
     quantile_space,
     scalar_space,
-    simulate_distributions,
-    simulate_networks,
+    simulate,
     squared_distance,
     sympsd_space,
     trapezoid_weights,
 )
-from ofpca.fpca import _fraction_count
+from ofpca.fpca import _fraction_count, _numerical_rank
 from ofpca.sim import quadrature_orthonormalize
 
 from oracles import gaussian_quantiles, monotone_lattice, riemann_sum_minimizer
@@ -38,6 +38,14 @@ def scalar_sample(X, grid=None):
     if grid is None:
         grid = np.linspace(0.0, 1.0, X.shape[1])
     return ObjectSample(scalar_space(), grid, X[..., None])
+
+
+def constant_and_cosine(grid):
+    """h = 1 and g = sqrt(2) cos(2 pi t) rescaled to unit norm: a
+    quadrature-orthonormal pair with integrals 1 and about 0."""
+    w = trapezoid_weights(grid)
+    g = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
+    return np.ones_like(grid), g / np.sqrt(np.dot(w, g * g))
 
 
 def legendre_eigen(grid):
@@ -153,6 +161,16 @@ class TestNormalize:
         with pytest.raises(NonIntegrableEigenfunction):
             normalize_eigenfunction(es, 1)
 
+    def test_small_integral_still_normalizes(self):
+        # an integral of 1e-4 is small but not zero: 1e-3 would refuse it
+        grid = np.linspace(0, 1, 41)
+        h, g = constant_and_cosine(grid)
+        beta = 1e-4
+        es = EigenSystem(np.array([1.0]), np.stack([np.sqrt(1 - beta**2) * g + beta * h]), grid)
+        assert es.integral(1) == pytest.approx(beta, rel=1e-9)
+        out = normalize_eigenfunction(es, 1)
+        assert np.dot(trapezoid_weights(grid), out) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestObjectFpc:
     def test_constant_trajectory_returns_the_constant(self):
@@ -170,6 +188,12 @@ class TestObjectFpc:
         traj = ObjectTrajectory(scalar_space(), grid, vals)
         out = object_fpc(traj, np.ones_like(grid))
         assert out.data[0] == pytest.approx(float(np.trapezoid(vals[:, 0], grid)), abs=1e-12)
+
+    def test_weight_integrating_to_one_plus_1e_6_rejected(self):
+        grid = np.linspace(0, 1, 41)
+        traj = ObjectTrajectory(scalar_space(), grid, np.zeros((41, 1)))
+        with pytest.raises(BadWeights, match="integrates to"):
+            object_fpc(traj, np.full(41, 1 + 1e-6))
 
     def test_gaussian_quantile_closed_form(self):
         # mean/scale curves mix through the weight function, then the
@@ -348,8 +372,8 @@ class TestScores:
 
     def test_mean_and_eigensystem_must_fit_the_sample(self):
         # both spaces hold 100 coordinates per object, both grids 11 times
-        sample = simulate_networks(NetworkSimConfig(n=6, n_times=11))
-        other = simulate_distributions(DistributionSimConfig(n=6, n_times=11, m=100))
+        sample = simulate(NetworkSimConfig(n=6, n_times=11))
+        other = simulate(DistributionSimConfig(n=6, n_times=11, m=100))
         mean = frechet_mean_trajectory(sample)
         es = legendre_eigen(sample.time_grid)
         foreign_mean = frechet_mean_trajectory(other)
@@ -383,6 +407,12 @@ class TestFitPipeline:
         es = EigenSystem(np.ones(10), rows, grid)
         assert np.cumsum(es.explained_fractions)[7] < 0.8
         assert _fraction_count(es, 0.8) == 8
+
+    def test_numerical_rank_cuts_at_T_eps_lambda1(self):
+        # 5e-15 is under 41 * eps (9.1e-15) but over eps (2.2e-16)
+        grid = np.linspace(0, 1, 41)
+        es = EigenSystem(np.array([1.0, 5e-15]), np.stack(constant_and_cosine(grid)), grid)
+        assert _numerical_rank(es) == 1
 
     def test_fit_shapes_and_feasibility(self):
         rng = np.random.default_rng(7)

@@ -287,6 +287,13 @@ class TestMetricCorrelation:
                     for _ in range(int(rng.integers(2, 12)))]
             assert metric_correlation(objs, objs) == 1.0
 
+    def test_scaled_copy_correlates_at_most_one(self):
+        # the unclamped ratio reads 1.0000000000000002 for this pair
+        space = scalar_space()
+        x = (-0.6651946734866135, 0.3515100700930197)
+        u = [ObjectPoint(space, [v]) for v in x]
+        assert metric_correlation(u, [ObjectPoint(space, [3.0 * v]) for v in x]) == 1.0
+
     def test_negated_pairs(self):
         space = scalar_space()
         u = [ObjectPoint(space, [v]) for v in (-1.0, 0.5, 2.0)]
@@ -379,6 +386,13 @@ class TestSurfaceInvariants:
         for scale in (1.0, 1e8):
             with pytest.raises(InvalidSurface):
                 KernelSurface(grid, scale * vals)
+
+    def test_rejects_asymmetry_of_1e_9(self):
+        # 1e-9 off a unit diagonal is far above round-off
+        vals = np.eye(41)
+        vals[0, 1] += 1e-9
+        with pytest.raises(InvalidSurface, match="not symmetric"):
+            KernelSurface(np.linspace(0, 1, 41), vals)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
@@ -555,7 +569,18 @@ class TestSampleFromValues:
         trajectories, held, _ = traced_memory(lambda: sample.trajectories)
         assert len(trajectories) == 400
         assert np.shares_memory(trajectories[7].values, sample.stacked_values)
+        assert np.shares_memory(trajectories[0].time_grid, sample.time_grid)
         assert held < 1e6  # a copy of every row would hold 16.3 MB
+
+    def test_time_grid_kept_or_copied_like_values(self):
+        values = np.zeros((2, 3, 1))
+        grid = read_only(np.linspace(0.0, 1.0, 3))
+        assert ObjectSample(scalar_space(), grid, values).time_grid is grid
+        writable = np.linspace(0.0, 1.0, 3)
+        sample = ObjectSample(scalar_space(), writable, values)
+        assert not np.shares_memory(sample.time_grid, writable)
+        assert not sample.time_grid.flags.writeable
+        assert all(traj.time_grid is sample.time_grid for traj in sample.trajectories)
 
     def test_read_only_memmap_is_not_read_in(self, tmp_path):
         sample = simulate(DistributionSimConfig(n=400, n_times=51, m=100, seed=5))

@@ -18,8 +18,7 @@ from ofpca import (
     jacobi_polynomial,
     mise_report,
     network_sim_basis,
-    simulate_distributions,
-    simulate_networks,
+    simulate,
     trapezoid_weights,
     true_eigensystem,
 )
@@ -123,12 +122,12 @@ class TestDistributionGenerator:
         assert np.abs(surface.values).max() == 0.0
 
     def test_reproducible_and_prefix_stable(self):
-        a = simulate_distributions(DistributionSimConfig(n=4, n_times=7, m=9, seed=5))
-        b = simulate_distributions(DistributionSimConfig(n=4, n_times=7, m=9, seed=5))
+        a = simulate(DistributionSimConfig(n=4, n_times=7, m=9, seed=5))
+        b = simulate(DistributionSimConfig(n=4, n_times=7, m=9, seed=5))
         assert np.array_equal(a.stacked_values, b.stacked_values)
-        bigger = simulate_distributions(DistributionSimConfig(n=6, n_times=7, m=9, seed=5))
+        bigger = simulate(DistributionSimConfig(n=6, n_times=7, m=9, seed=5))
         assert np.array_equal(bigger.stacked_values[:4], a.stacked_values)
-        different = simulate_distributions(DistributionSimConfig(n=4, n_times=7, m=9, seed=6))
+        different = simulate(DistributionSimConfig(n=4, n_times=7, m=9, seed=6))
         assert not np.array_equal(different.stacked_values, a.stacked_values)
 
     def test_slice_distance_matches_gaussian_closed_form(self):
@@ -184,7 +183,7 @@ class TestDistributionGenerator:
         assert abs(est - target) <= 3.0 * se + 0.05
 
     def test_generated_objects_satisfy_invariants(self):
-        sample = simulate_distributions(DistributionSimConfig(n=6, n_times=9, m=25, seed=1))
+        sample = simulate(DistributionSimConfig(n=6, n_times=9, m=25, seed=1))
         diffs = np.diff(sample.stacked_values, axis=2)
         assert diffs.min() >= 0.0
 
@@ -235,31 +234,28 @@ class TestBatchedSimulation:
     @pytest.mark.parametrize("T", [3, 51])
     def test_distributions_bit_equal_to_reference(self, n, T):
         cfg = DistributionSimConfig(n=n, n_times=T, m=13, seed=4)
-        got = simulate_distributions(cfg).stacked_values
+        got = simulate(cfg).stacked_values
         assert got.tobytes() == self.reference_distributions(cfg).tobytes()
 
     @pytest.mark.parametrize("n", [2, 17])
     @pytest.mark.parametrize("T", [3, 51])
     def test_networks_bit_equal_to_reference(self, n, T):
         cfg = NetworkSimConfig(n=n, n_times=T, seed=4)
-        got = simulate_networks(cfg).stacked_values
+        got = simulate(cfg).stacked_values
         assert got.tobytes() == self.reference_networks(cfg).tobytes()
 
     @pytest.mark.parametrize("n", [2, 17])
     def test_sample_is_prefix_of_larger_sample(self, n):
-        for make, cfg in (
-            (simulate_distributions, DistributionSimConfig(n=n, n_times=9, m=11, seed=3)),
-            (simulate_networks, NetworkSimConfig(n=n, n_times=9, seed=3)),
-        ):
-            small = make(cfg).stacked_values
-            big = make(replace(cfg, n=n + 5)).stacked_values
+        for cfg in (DistributionSimConfig(n=n, n_times=9, m=11, seed=3),
+                    NetworkSimConfig(n=n, n_times=9, seed=3)):
+            small = simulate(cfg).stacked_values
+            big = simulate(replace(cfg, n=n + 5)).stacked_values
             assert big[:n].tobytes() == small.tobytes()
 
     def test_factors_come_from_distinct_streams(self):
         # one stream shared by two factors would make their draws, scaled
         # back to [0, 1), equal
-        draws = _factor_draws(NetworkSimConfig(n=17, seed=4), ("uniform",) * 4,
-                              (0.4, 0.1, 0.3, 0.1))
+        draws = _factor_draws(NetworkSimConfig(n=17, seed=4))
         unit = draws / np.array([0.4, 0.1, 0.3, 0.1])[:, None]
         assert unit.shape == (4, 17)
         assert unit.min() >= 0.0 and unit.max() < 1.0
@@ -304,8 +300,8 @@ class TestNetworkGenerator:
         assert mat.min() >= 0.0 and mat.max() <= 1.0
 
     def test_reproducible(self):
-        a = simulate_networks(NetworkSimConfig(n=3, n_times=6, seed=8))
-        b = simulate_networks(NetworkSimConfig(n=3, n_times=6, seed=8))
+        a = simulate(NetworkSimConfig(n=3, n_times=6, seed=8))
+        b = simulate(NetworkSimConfig(n=3, n_times=6, seed=8))
         assert np.array_equal(a.stacked_values, b.stacked_values)
 
     def test_monte_carlo_population_diagonal(self):
@@ -397,11 +393,9 @@ class TestTruth:
         with pytest.raises(InvalidObject):
             true_eigensystem(object())
 
-    def test_simulators_reject_the_other_design(self):
-        with pytest.raises(InvalidObject):
-            simulate_networks(DistributionSimConfig(n=5, m=7))
-        with pytest.raises(InvalidObject):
-            simulate_distributions(NetworkSimConfig(n=5))
+    def test_simulate_rejects_an_unknown_config(self):
+        with pytest.raises(InvalidObject, match="unknown simulation config object"):
+            simulate(object())
 
 
 class TestMiseHarness:
