@@ -16,6 +16,7 @@ once, in ``_SHARED_OPTIONS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -41,7 +42,9 @@ def _add_shared(parser, *flags):
         parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="ofpca", description="Functional PCA for metric-space-valued curves")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadRank, InvalidSurface
 from .kernel import KernelSurface, _check_time_grid, _OnGrid
-from .spaces import _count
+from .spaces import _count, _freeze
 
 #: Below this absolute value an eigenfunction integral counts as zero
 #: for the sign convention.
@@ -40,7 +40,10 @@ class EigenSystem(_OnGrid):
     absolute value is positive.  ``quad_weights`` are the trapezoid
     weights of ``time_grid``.  ``spectrum_total`` (keyword-only) is the
     clipped sum of the whole spectrum; left out, it is that of the
-    retained eigenvalues, as for a truth with no other components.
+    retained eigenvalues, as for a truth with no other components.  A
+    read-only float64 ``eigenvalues``, ``eigenfunctions`` or ``time_grid``
+    is kept; anything else is held as a read-only copy, so later writes to
+    the caller's arrays do not reach the system.
     """
 
     eigenvalues: np.ndarray
@@ -49,12 +52,10 @@ class EigenSystem(_OnGrid):
     spectrum_total: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        funs = np.array(self.eigenfunctions, dtype=float)
-        t = _check_time_grid(self.time_grid).copy()
-        for name, arr in (("eigenvalues", vals), ("eigenfunctions", funs), ("time_grid", t)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        # set before the checks: the Gram check reads quad_weights of the grid
+        vals, funs, t = _freeze(self, eigenvalues=self.eigenvalues,
+                                eigenfunctions=self.eigenfunctions, time_grid=self.time_grid)
+        _check_time_grid(t)
         if funs.shape != (vals.size, t.size):
             raise InvalidSurface(
                 f"eigenfunctions must be ({vals.size}, {t.size}), got {funs.shape}"
@@ -139,6 +140,7 @@ def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     norms = np.sqrt((funs * funs) @ w)
     funs = funs / norms[:, None]
     funs = apply_sign_convention(funs, w)
+    vals.flags.writeable = funs.flags.writeable = False  # so that the system keeps them
     return EigenSystem(vals, funs, surface.time_grid, spectrum_total=spectrum_total)
 
 

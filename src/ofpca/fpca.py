@@ -31,7 +31,7 @@ from .kernel import (
     _trapezoid,
     estimate_cov_surface,
 )
-from .spaces import ObjectPoint, project_coordinates
+from .spaces import ObjectPoint, _freeze, _own, project_coordinates
 
 #: Minimum absolute eigenfunction integral for object components; below
 #: this the normalized direction is numerically undefined.
@@ -142,7 +142,9 @@ class FpcaFit:
     ``object_components[j]`` holds the (n, L) object components along
     component j+1 (None if skipped); ``skipped_components`` lists those
     j+1.  Row i is the coordinate vector of trajectory i's component:
-    ``ObjectPoint(fit.mean.space, object_components[j][i])``.
+    ``ObjectPoint(fit.mean.space, object_components[j][i])``.  ``scores``,
+    ``distance_curves`` and each object component are read-only: a
+    read-only float64 array is kept, anything else held as a read-only copy.
     """
 
     surface: KernelSurface
@@ -151,6 +153,12 @@ class FpcaFit:
     scores: np.ndarray
     distance_curves: np.ndarray
     object_components: tuple[np.ndarray | None, ...] | None
+
+    def __post_init__(self):
+        _freeze(self, scores=self.scores, distance_curves=self.distance_curves)
+        if self.object_components is not None:
+            object.__setattr__(self, "object_components", tuple(
+                None if comps is None else _own(comps) for comps in self.object_components))
 
     @property
     def skipped_components(self) -> tuple[int, ...]:
@@ -231,11 +239,15 @@ def fit_fpca(
                 )
                 per_component.append(None)
                 continue
-            per_component.append(_frechet_integrals(
+            comps = _frechet_integrals(
                 sample.space, sample.stacked_values, surface.quad_weights, phi_star
-            ))
+            )
+            comps.flags.writeable = False
+            per_component.append(comps)
         object_components = tuple(per_component)
 
+    # read-only, so that the fit keeps them uncopied
+    curves.flags.writeable = scores.flags.writeable = False
     return FpcaFit(
         surface=surface,
         eigen=es,

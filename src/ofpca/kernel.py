@@ -47,7 +47,7 @@ from .errors import (
     SpaceMismatch,
     TooFewTrajectories,
 )
-from .spaces import ObjectPoint, SpaceKind, validate_block
+from .spaces import ObjectPoint, SpaceKind, _freeze, _own, validate_block
 
 #: Floats (512 KiB) per block of trajectories (``_blocks``).
 _BLOCK_FLOATS = 1 << 16
@@ -95,29 +95,19 @@ def _check_time_grid(time_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def _own(a) -> np.ndarray:
-    """``a`` itself if it is a read-only float64 array, as no one can write
-    through it; otherwise a float64 copy, so the caller's stays its own."""
-    keep = isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
-    return a if keep else np.array(a, dtype=float)
-
-
 def _admit(obj, field: str, ndim: int) -> None:
     """Check ``obj``'s time grid and its array ``field`` ((T, L) with ndim 2, or
     (n >= 2, T, L) with ndim 3), validate (and repair within tolerance) the array as
-    one block, and set both, as ``_own`` gives them, read-only on the frozen ``obj``."""
-    t = _check_time_grid(_own(obj.time_grid))
-    values = _own(getattr(obj, field))
+    one block, and set both on the frozen ``obj`` (``_freeze``)."""
+    t = _check_time_grid(obj.time_grid)
+    values = np.asarray(getattr(obj, field), dtype=float)
     if values.ndim != ndim or values.shape[-2:] != (t.size, obj.space.data_len):
         raise InvalidObject(
             f"values must have shape (..., T={t.size}, {obj.space.data_len}), got {values.shape}"
         )
     if ndim == 3 and values.shape[0] < 2:
         raise TooFewTrajectories("a sample needs at least two trajectories")
-    values = validate_block(obj.space, values)
-    t.flags.writeable = values.flags.writeable = False
-    object.__setattr__(obj, "time_grid", t)
-    object.__setattr__(obj, field, values)
+    _freeze(obj, time_grid=t, **{field: validate_block(obj.space, values)})
 
 
 @dataclass(frozen=True)
@@ -175,30 +165,31 @@ class _OnGrid:
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
-        w = _trapezoid(self.time_grid)
-        w.flags.writeable = False
-        return w
+        return _own(_trapezoid(self.time_grid))
 
 
 @dataclass(frozen=True)
 class KernelSurface(_OnGrid):
-    """A symmetric T x T kernel on a time grid, with its ``quad_weights``."""
+    """A symmetric T x T kernel on a time grid, with its ``quad_weights``.
+
+    A read-only float64 ``time_grid`` or ``values`` is kept; anything else
+    is held as a read-only copy, so later writes to the caller's arrays do
+    not reach the surface.
+    """
 
     time_grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = _check_time_grid(self.time_grid).copy()
-        vals = np.array(self.values, dtype=float)
+        t = _check_time_grid(self.time_grid)
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != (t.size, t.size):
             raise InvalidSurface(f"values must be ({t.size}, {t.size}), got {vals.shape}")
         if not np.isfinite(vals).all():
             raise InvalidSurface("surface is not finite")
         if np.abs(vals - vals.T).max() > 1e-12 * np.abs(vals).max():
             raise InvalidSurface("surface is not symmetric")
-        t.flags.writeable = vals.flags.writeable = False
-        object.__setattr__(self, "time_grid", t)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, time_grid=t, values=vals)
 
     @property
     def n_times(self) -> int:
@@ -225,6 +216,7 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
         surface += X @ X.T
         del X  # so that one block is alive at a time
     surface = (surface + surface.T) / (2 * (n - 1))
+    surface.flags.writeable = False  # so that the surface keeps it uncopied
     return KernelSurface(sample.time_grid, surface)
 
 

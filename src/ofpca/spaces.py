@@ -39,6 +39,22 @@ SPACE_TAGS = ("scalar", "quantile", "adjacency", "sympsd")
 ADMISSION_TOL = 1e-10
 
 
+def _own(a) -> np.ndarray:
+    """``a`` itself if it is a read-only float64 array, as no one can write
+    through it; otherwise a read-only float64 copy, so the caller's stays its own."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
+
+
+def _freeze(obj, **arrays) -> list[np.ndarray]:
+    """Set each array on the frozen dataclass ``obj`` as ``_own`` gives it; return them."""
+    for name, a in arrays.items():
+        object.__setattr__(obj, name, _own(a))
+    return [getattr(obj, name) for name in arrays]
+
+
 def _count(value, name: str, least: int, error=InvalidObject) -> int:
     """``value`` as an ``int``: an integer (Python or numpy, not a bool) of
     at least ``least``.  Anything else raises ``error`` naming ``name``."""
@@ -214,8 +230,10 @@ class ObjectPoint:
     """One element of a metric space, stored as a flat coordinate vector.
 
     Matrices are stored row-major.  The constructor takes exactly one
-    object, a vector of length ``space.data_len``, enforces the space
-    invariants (see :func:`validate_block`) and freezes a copy.
+    object, a vector of length ``space.data_len``, and enforces the space
+    invariants (see :func:`validate_block`).  A read-only float64 ``data``
+    that needs no repair is kept; anything else is held as a read-only
+    copy, so later writes to the caller's array do not reach the point.
     """
 
     space: SpaceKind
@@ -225,9 +243,7 @@ class ObjectPoint:
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.space.data_len,):
             raise InvalidObject(f"a point needs shape ({self.space.data_len},), got {data.shape}")
-        data = validate_block(self.space, data).copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        _freeze(self, data=validate_block(self.space, data))
 
     def matrix(self) -> np.ndarray:
         """The object as an (r, r) matrix (matrix spaces only)."""

@@ -54,6 +54,22 @@ MUTANTS = [
      "    b = 0.5 * (b + b.T)\n", ""),
     ("correlation-clamp", "src/ofpca/kernel.py",
      "return float(np.clip(rho, -1.0, 1.0))", "return float(rho)"),
+    ("biased-surface", "src/ofpca/kernel.py",
+     "/ (2 * (n - 1))", "/ (2 * n)"),
+    ("psd-round-off-cut", "src/ofpca/spaces.py",
+     "dips = min_eigs < -space.dim * np.finfo(float).eps * np.abs(eigs).max(axis=-1)",
+     "dips = min_eigs < 0.0"),
+    ("sigma-floor", "src/ofpca/sim.py",
+     "return mu, np.maximum(sigma, 1e-6)", "return mu, sigma"),
+    ("grid-range", "src/ofpca/kernel.py",
+     "if t[0] < 0.0 or t[-1] > 1.0:", "if t[0] < -1.0 or t[-1] > 2.0:"),
+    ("admission-tol", "src/ofpca/spaces.py",
+     "ADMISSION_TOL = 1e-10", "ADMISSION_TOL = 1e-6"),
+    ("adjacency-diagonal-projection", "src/ofpca/spaces.py",
+     "        sym[..., idx, idx] = 0.0\n", ""),
+    ("own-always-copy", "src/ofpca/spaces.py",
+     "if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):",
+     "if True:"),
 ]
 
 

@@ -68,6 +68,9 @@ class TestCommandLineSurface:
             args = vars(parser.parse_args(argv + ["--out", "out"]))
             assert {key: args[key] for key in defaults} == defaults, argv[0]
 
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_exit_code_of_each_error(self, tmp_path, monkeypatch, capsys):
         errors = [obj for obj in vars(ofpca).values()
                   if isinstance(obj, type) and issubclass(obj, ofpca.OfpcaError)]

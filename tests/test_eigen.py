@@ -143,6 +143,17 @@ class TestConventions:
         with pytest.raises(InvalidSurface, match="descending"):
             EigenSystem(np.array([1.0, 1.0 + 1e-9]), np.stack([h, g]), grid)
 
+    def test_surface_and_its_transpose_give_one_eigensystem(self):
+        # asymmetric within the 1e-12 bound; the square roots of the weights
+        # (1/4, 1/4) are powers of two, so B is the surface scaled exactly, and
+        # only its symmetrization gives the surface and its transpose one B
+        grid = np.array([0.25, 0.75])
+        values = np.array([[2.0, 1.0], [1.0 + 1e-13, 3.0]])
+        a = eigendecompose(KernelSurface(grid, values), k=2)
+        b = eigendecompose(KernelSurface(grid, values.T), k=2)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenfunctions.tobytes() == b.eigenfunctions.tobytes()
+
     def test_bad_rank(self):
         grid = np.linspace(0, 1, 5)
         w = trapezoid_weights(grid)

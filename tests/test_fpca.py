@@ -1,5 +1,7 @@
 """Frechet means, object components, Riemann-sum minimizer, scores."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -469,6 +471,32 @@ class TestFitPipeline:
         for comps in fit.object_components:
             for row in comps:
                 assert ObjectPoint(sample.space, row).data.tobytes() == row.tobytes()
+
+    def test_every_array_of_a_fit_is_read_only(self):
+        sample = simulate(DistributionSimConfig(n=20, n_times=11, m=10, seed=1))
+        fit = fit_fpca(sample, n_components=3)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+                if hasattr(obj, "quad_weights"):
+                    yield obj.quad_weights
+
+        reachable = list(arrays(fit))
+        # surface, eigensystem, mean, scores and curves, components
+        assert len(reachable) == 3 + 4 + 2 + 2 + len(fit.object_components)
+        assert not any(a.flags.writeable for a in reachable)
+        # handed over, not copied
+        assert fit.surface.time_grid is fit.eigen.time_grid is sample.time_grid
+        # the public stages still give their callers writable arrays
+        assert distance_curves(sample, fit.mean).flags.writeable
+        assert frechet_scores(sample, fit.mean, fit.eigen).flags.writeable
 
     def test_scores_ignore_object_fpc_toggle(self):
         rng = np.random.default_rng(8)
