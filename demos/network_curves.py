@@ -8,7 +8,10 @@ metric.  The same estimator code runs unchanged; only the space differs.
 import numpy as np
 
 import ofpca as of
-from ofpca.sim import NETWORK_EIGENVALUES
+
+# each community has 20 varying entries and Var(Unif(0, c)) = c^2 / 12, so
+# without the [0, 1] clamp the eigenvalues would be these
+NO_CLAMP = (3.2 / 12.0, 1.8 / 12.0, 1.0 / 30.0)
 
 cfg = of.NetworkSimConfig(n=150, n_times=51, seed=777)
 sample = of.simulate(cfg)
@@ -17,7 +20,8 @@ print(f"sample: n={sample.n}, T={sample.time_grid.size}, "
 
 fit = of.fit_fpca(sample, n_components=3, fpc_objects=True)
 print("\nestimated eigenvalues:", np.round(fit.eigen.eigenvalues, 4))
-print("no-clamp closed form:  ", np.round(NETWORK_EIGENVALUES, 4))
+print("population truth:      ", np.round(of.true_eigensystem(cfg).eigenvalues, 4))
+print("no-clamp closed form:  ", np.round(NO_CLAMP, 4))
 print("(the [0,1] weight clamp attenuates the population values a few percent)")
 
 # the Frechet mean at each time is the entrywise average adjacency

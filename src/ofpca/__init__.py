@@ -8,7 +8,7 @@ curve) and by object principal components (Frechet integrals against
 the normalized eigenfunctions, which live in the object space itself).
 """
 
-from .eigen import EigenSystem, eigendecompose, reconstruct
+from .eigen import EigenSystem, eigendecompose
 from .errors import (
     BadRank,
     BadWeights,
@@ -106,7 +106,6 @@ __all__ = [
     "normalize_eigenfunction",
     "object_fpc",
     "quantile_space",
-    "reconstruct",
     "scalar_space",
     "simulate",
     "squared_distance",

@@ -8,7 +8,8 @@ eigenvectors mapped back through W^{-1/2}, which makes the
 eigenfunctions orthonormal in the quadrature L2 inner product and the
 eigenvalues consistent with the continuum operator as the grid refines.
 
-A known truth is an ``EigenSystem`` too (``sim.true_eigensystem``).
+A simulation truth is an ``EigenSystem`` too: ``sim.true_eigensystem``
+is this decomposition of a design's population surface.
 Explained fractions divide by the clipped sum of all T eigenvalues, so
 they do not depend on how many are retained.
 """
@@ -143,8 +144,3 @@ def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     vals.flags.writeable = funs.flags.writeable = False  # so that the system keeps them
     return EigenSystem(vals, funs, surface.time_grid, spectrum_total=spectrum_total)
 
-
-def reconstruct(es: EigenSystem) -> np.ndarray:
-    """Surface rebuilt from the retained nonnegative components."""
-    vals = np.clip(es.eigenvalues, 0.0, None)
-    return (es.eigenfunctions.T * vals) @ es.eigenfunctions

@@ -178,9 +178,9 @@ def _numerical_rank(es: EigenSystem) -> int:
 
 def _fraction_count(es: EigenSystem, fraction: float) -> int:
     """The size of the smallest leading block of ``es`` whose cumulative
-    explained fraction (of the clipped whole spectrum) reaches ``fraction``."""
-    if es.spectrum_total <= 0:
-        return es.num_retained
+    explained fraction (of the clipped whole spectrum) reaches ``fraction``.
+    On a zero spectrum no block does, but a fit keeps at most the numerical
+    rank, which is 1 there."""
     return int(np.searchsorted(np.cumsum(es.explained_fractions), fraction - 1e-12) + 1)
 
 

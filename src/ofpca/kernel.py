@@ -47,7 +47,7 @@ from .errors import (
     SpaceMismatch,
     TooFewTrajectories,
 )
-from .spaces import ObjectPoint, SpaceKind, _freeze, _own, validate_block
+from .spaces import ObjectPoint, SpaceKind, _admitted, _freeze, _own
 
 #: Floats (512 KiB) per block of trajectories (``_blocks``).
 _BLOCK_FLOATS = 1 << 16
@@ -107,7 +107,7 @@ def _admit(obj, field: str, ndim: int) -> None:
         )
     if ndim == 3 and values.shape[0] < 2:
         raise TooFewTrajectories("a sample needs at least two trajectories")
-    _freeze(obj, time_grid=t, **{field: validate_block(obj.space, values)})
+    _freeze(obj, time_grid=t, **{field: _admitted(obj.space, values)})
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ their true eigensystems, and the Monte-Carlo error harness.
 
 Both designs draw four independent factors per trajectory and mix them
 through fixed polynomial directions, so the population auto-covariance
-is a known rank-3 kernel and estimation error can be measured exactly.
-Each design is one config class (see ``_SimConfig``): ``simulate(cfg)``
-draws its sample, ``true_eigensystem(cfg)`` returns its kernel as an
-``EigenSystem`` on the config's grid, and ``mise_report`` measures against it.
+is known.  Each design is one config class (see ``_SimConfig``):
+``simulate(cfg)`` draws its sample, ``cfg.population_surface()`` is its
+population surface on the config's grid (the network's is not exactly
+rank 3: its edge weights are clamped to [0, 1]), ``true_eigensystem(cfg)``
+that surface's eigensystem, and ``mise_report`` measures against both.
 Random numbers come from counter-based Philox streams, one per factor,
 each drawing its whole column in trajectory order; trajectory i uses
 only the first i + 1 draws of each stream, so enlarging a sample extends
@@ -27,30 +28,18 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import BadRank, InvalidObject
-from .kernel import (
-    KernelSurface,
-    ObjectSample,
-    estimate_cov_surface,
-    trapezoid_weights,
-)
-from .eigen import EigenSystem, eigendecompose, reconstruct
+from .eigen import EigenSystem, eigendecompose
+from .fpca import _numerical_rank
+from .kernel import KernelSurface, ObjectSample, estimate_cov_surface
 from .spaces import _count, adjacency_space, quantile_space
 
 NETWORK_NODES = 10
 NETWORK_COMMUNITY = 5  # first five nodes vs last five
 
-#: Population eigenvalues of the distribution design: Var(U)=12,
-#: Var(W)=72/12=6, Var(V)+Var(Z)=1+9/12=1.75.
-DISTRIBUTION_EIGENVALUES = (12.0, 6.0, 1.75)
-
-#: Population eigenvalues of the network design.  Each community
-#: contributes 20 varying off-diagonal entries (5*4, diagonal is zero),
-#: and Var(U(0, c)) = c^2/12, so:
-#:   lambda_1 = 20 * 0.4^2 / 12, lambda_2 = 20 * 0.3^2 / 12,
-#:   lambda_3 = 2 * 20 * 0.1^2 / 12 = 1/30.
-#: The third value is confirmed by the brute-force Monte Carlo in
-#: tests/oracles.py.
-NETWORK_EIGENVALUES = (3.2 / 12.0, 1.8 / 12.0, 1.0 / 30.0)
+#: Midpoint nodes per factor axis of the network truth's quadrature.  At
+#: T = 51 its surface is an ISE of 5e-8 from 2048 nodes (3e-8 from 64),
+#: 0.1% of the network MISE(C) at n = 1600.
+TRUTH_NODES = 32
 
 
 def distribution_sim_basis(t) -> np.ndarray:
@@ -190,8 +179,8 @@ class _SimConfig:
     """A design's config: count fields checked on construction (an (n, T,
     ``space.data_len``) sample must be one numpy can index), the time grid, the
     object ``space``, the factor laws ``_FACTORS`` as (kind, scale) pairs, the
-    ``_values(draws, grid)`` of (4, n) draws, and the truth's ``_EIGENVALUES``
-    and ``_directions()``."""
+    ``_values(draws, grid)`` of (4, n) draws, and the truth's
+    ``population_surface()``."""
 
     def __post_init__(self):
         least = {"n": 2, "n_times": 3, "m": 2, "seed": 0}
@@ -219,15 +208,23 @@ class DistributionSimConfig(_SimConfig):
     seed: int = 0
     _FACTORS = (("normal", np.sqrt(12.0)), ("normal", 1.0),
                 ("uniform", np.sqrt(72.0)), ("uniform", 3.0))
-    _EIGENVALUES = DISTRIBUTION_EIGENVALUES
     space = property(lambda self: quantile_space(self.m))
 
     def _values(self, draws, grid) -> np.ndarray:
         mu, sigma = distribution_curve_params(*draws, grid)
         return _distribution_values(mu, sigma, quantile_probes(self.m))
 
-    def _directions(self) -> np.ndarray:
-        return distribution_sim_basis(self.time_grid)
+    def population_surface(self) -> np.ndarray:
+        """The (T, T) population metric auto-covariance, in closed form:
+        Cov(mu) + c Cov(sigma) = 12 phi1 phi1' + phi3 phi3' + c (6 phi2 phi2' +
+        0.75 phi3 phi3'), with the raw directions and c the mean square of
+        the probes (mu and sigma are independent, so the probes' mean drops
+        out).  The 1e-6 scale floor is ignored: it binds at about 3e-5 of
+        the grid points (5e-4 of the trajectories) of 10^6 draws."""
+        phi1, phi2, phi3 = distribution_sim_basis(self.time_grid)
+        c = np.mean(quantile_probes(self.m) ** 2)
+        return (12.0 * np.outer(phi1, phi1) + np.outer(phi3, phi3)
+                + c * (6.0 * np.outer(phi2, phi2) + 0.75 * np.outer(phi3, phi3)))
 
 
 @dataclass(frozen=True)
@@ -241,14 +238,24 @@ class NetworkSimConfig(_SimConfig):
     n_times: int = 51
     seed: int = 0
     _FACTORS = (("uniform", 0.4), ("uniform", 0.1), ("uniform", 0.3), ("uniform", 0.1))
-    _EIGENVALUES = NETWORK_EIGENVALUES
     space = adjacency_space(NETWORK_NODES)
 
     def _values(self, draws, grid) -> np.ndarray:
         return _network_values(*network_curve_params(*draws, grid))
 
-    def _directions(self) -> np.ndarray:
-        return _network_directions(self.time_grid.tobytes())
+    def population_surface(self) -> np.ndarray:
+        """The (T, T) population metric auto-covariance 20 Cov(p1) + 20 Cov(p2)
+        of the clamped edge weights (each fills 20 entries), by a tensor
+        midpoint rule with ``TRUTH_NODES`` nodes per axis over (U, V) and
+        over (W, Z)."""
+        u, v, w, z = (scale * (np.arange(TRUTH_NODES) + 0.5) / TRUTH_NODES
+                      for _, scale in self._FACTORS)
+        surface = np.zeros((self.n_times, self.n_times))
+        for p in network_curve_params(u[:, None], v, w[:, None], z, self.time_grid):
+            p = p.reshape(-1, self.n_times)
+            p = p - p.mean(axis=0)
+            surface += p.T @ p
+        return surface * (20.0 / TRUTH_NODES**2)
 
 
 def simulate(cfg) -> ObjectSample:
@@ -262,36 +269,21 @@ def simulate(cfg) -> ObjectSample:
     return ObjectSample(cfg.space, grid, values)
 
 
-def quadrature_orthonormalize(rows: np.ndarray, quad_weights: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt under the quadrature inner product, keeping each row's
-    orientation.  Used to turn nearly orthonormal closed-form bases into
-    exactly grid-orthonormal ones."""
-    rows = np.array(rows, dtype=float)
-    for j in range(rows.shape[0]):
-        for l in range(j):
-            rows[j] -= np.dot(rows[l] * quad_weights, rows[j]) * rows[l]
-        norm = np.sqrt(np.dot(rows[j] * quad_weights, rows[j]))
-        rows[j] /= norm
-    return rows
+def _truth(cfg) -> tuple[KernelSurface, EigenSystem]:
+    """The design's population surface on the config's grid and its top
+    three eigenpairs; ``InvalidObject`` for anything but a simulation config."""
+    if not isinstance(cfg, _SimConfig):
+        raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
+    surface = KernelSurface(cfg.time_grid, cfg.population_surface())
+    return surface, eigendecompose(surface, k=3)
 
 
 def true_eigensystem(cfg) -> EigenSystem:
-    """The design's population eigensystem on the config's time grid.
-
-    The eigenfunctions are the design's closed-form directions
-    re-orthonormalized under the grid's trapezoid quadrature (the raw
-    printed constants are rounded, so the raw directions are orthonormal
-    only to about 5e-4).  Raises ``InvalidObject`` for an unknown config,
-    or on a grid too coarse for the directions to be orthonormal within
-    1e-6: the network directions vanish at both ends, so T = 3 and 4 are.
+    """The design's population eigensystem on the config's time grid: the
+    top three eigenpairs of ``cfg.population_surface()``, by the estimator's
+    own ``eigendecompose``.  Raises ``InvalidObject`` for an unknown config.
     """
-    if not isinstance(cfg, _SimConfig):
-        raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
-    w = trapezoid_weights(cfg.time_grid)
-    funs = quadrature_orthonormalize(cfg._directions(), w)
-    if not np.abs((funs * w) @ funs.T - np.eye(len(funs))).max() <= 1e-6:
-        raise InvalidObject("truth eigenfunctions are not quadrature-orthonormal")
-    return EigenSystem(np.array(cfg._EIGENVALUES), funs, cfg.time_grid)
+    return _truth(cfg)[1]
 
 
 def run_seed(seed: int, run_index: int) -> int:
@@ -306,38 +298,37 @@ def mise_report(
     truth_debug: bool = False,
 ) -> dict:
     """Mean integrated squared errors over repeated simulation runs,
-    measured against ``true_eigensystem(cfg)``.
+    measured against the design's population surface and its eigensystem
+    ``true_eigensystem(cfg)``.
 
     Per run: simulate, estimate the covariance surface, eigendecompose,
     then accumulate the squared quadrature-L2 errors of the surface, of
     each eigenfunction (sign-aligned to truth by quadrature inner
-    product), and of each eigenvalue.  With ``truth_debug`` the true
-    surface is fed into the eigen step instead of an estimate, which
-    must drive every error to ~0.
+    product), and of each eigenvalue.  With ``truth_debug`` the population
+    surface itself is fed into the eigen step instead of an estimate,
+    which makes every error exactly 0.
 
     Returns a dict with keys ``n``, ``runs``, ``mise_c``, ``mise_phi``
-    (length ``n_components``, at most the design's rank), and
-    ``mise_lambda``.
+    (length ``n_components``, at most the truth's numerical rank, which is
+    at most 3), and ``mise_lambda``.
     """
     runs = _count(runs, "runs", 1)
-    truth = true_eigensystem(cfg)
-    rank = truth.num_retained
+    true_surface, truth = _truth(cfg)
+    rank = _numerical_rank(truth)
     if _count(n_components, "n_components", 1, BadRank) > rank:
-        raise BadRank(f"components must be in [1, {rank}] (the design's rank), got {n_components}")
+        raise BadRank(f"components must be in [1, {rank}] (the truth's rank), got {n_components}")
     w = truth.quad_weights
     w2 = np.outer(w, w)
-    true_surface = reconstruct(truth)
-    debug_surface = KernelSurface(truth.time_grid, true_surface) if truth_debug else None
     ise_c = 0.0
     ise_phi = np.zeros(n_components)
     se_lambda = np.zeros(n_components)
     for r in range(runs):
         if truth_debug:
-            surface = debug_surface
+            surface = true_surface
         else:
             surface = estimate_cov_surface(simulate(replace(cfg, seed=run_seed(cfg.seed, r))))
         es = eigendecompose(surface, k=n_components)
-        ise_c += float(np.sum(w2 * (surface.values - true_surface) ** 2))
+        ise_c += float(np.sum(w2 * (surface.values - true_surface.values) ** 2))
         for j in range(n_components):
             phi_hat = es.eigenfunctions[j]
             phi_true = truth.eigenfunctions[j]

@@ -225,6 +225,15 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _admitted(space: SpaceKind, block: np.ndarray) -> np.ndarray:
+    """``validate_block(space, block)``, with a repair (which shares no memory
+    with ``block``) made read-only, so that ``_own`` keeps it uncopied."""
+    admitted = validate_block(space, block)
+    if not np.may_share_memory(admitted, block):
+        admitted.flags.writeable = False
+    return admitted
+
+
 @dataclass(frozen=True)
 class ObjectPoint:
     """One element of a metric space, stored as a flat coordinate vector.
@@ -243,7 +252,7 @@ class ObjectPoint:
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.space.data_len,):
             raise InvalidObject(f"a point needs shape ({self.space.data_len},), got {data.shape}")
-        _freeze(self, data=validate_block(self.space, data))
+        _freeze(self, data=_admitted(self.space, data))
 
     def matrix(self) -> np.ndarray:
         """The object as an (r, r) matrix (matrix spaces only)."""

@@ -8,8 +8,10 @@ writer that the vectorised one replaced.  The Frechet integral is
 checked by a Riemann-sum search over explicit candidates, the batched
 simulators by one-trajectory builders that assemble the values
 themselves, and the network design's eigenvalues by a brute-force Monte
-Carlo over trajectory pairs.  ``traced_peak`` measures the memory
-bounds.
+Carlo over trajectory pairs.  The designs' closed-form eigenvalues, a
+quadrature Gram-Schmidt that builds orthonormal test bases, and the
+rank-K surface of an eigensystem live here too.  ``traced_peak``
+measures the memory bounds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,39 @@ from ofpca.sim import (
     network_curve_params,
     quantile_probes,
 )
+
+
+#: Population eigenvalues of the distribution design with orthonormal
+#: directions and probes of mean square 1: Var(U)=12, Var(W)=72/12=6,
+#: Var(V)+Var(Z)=1+9/12=1.75.
+DISTRIBUTION_EIGENVALUES = (12.0, 6.0, 1.75)
+
+#: Population eigenvalues of the network design without its [0, 1] clamp.
+#: Each community contributes 20 varying off-diagonal entries (5*4, diagonal
+#: is zero), and Var(U(0, c)) = c^2/12, so:
+#:   lambda_1 = 20 * 0.4^2 / 12, lambda_2 = 20 * 0.3^2 / 12,
+#:   lambda_3 = 2 * 20 * 0.1^2 / 12 = 1/30.
+NETWORK_EIGENVALUES = (3.2 / 12.0, 1.8 / 12.0, 1.0 / 30.0)
+
+
+def quadrature_orthonormalize(rows: np.ndarray, quad_weights: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt under the quadrature inner product, keeping each row's
+    orientation: turns nearly orthonormal or random rows into exactly
+    grid-orthonormal ones."""
+    rows = np.array(rows, dtype=float)
+    for j in range(rows.shape[0]):
+        for l in range(j):
+            rows[j] -= np.dot(rows[l] * quad_weights, rows[j]) * rows[l]
+        norm = np.sqrt(np.dot(rows[j] * quad_weights, rows[j]))
+        rows[j] /= norm
+    return rows
+
+
+def reconstruct(es) -> np.ndarray:
+    """Surface rebuilt from the retained nonnegative components of an
+    ``EigenSystem``."""
+    vals = np.clip(es.eigenvalues, 0.0, None)
+    return (es.eigenfunctions.T * vals) @ es.eigenfunctions
 
 
 def classical_cross_covariance(X: np.ndarray) -> np.ndarray:
@@ -277,14 +312,23 @@ def network_population_eigenvalue(
     j: int, n_draws: int = 1_000_000, n_times: int = 51, seed: int = 2024
 ) -> float:
     """Brute-force Monte-Carlo estimate of the j-th population eigenvalue
-    of the network design.
+    of the network design (see ``network_population_eigenvalue_and_se``)."""
+    return network_population_eigenvalue_and_se(j, n_draws, n_times, seed)[0]
+
+
+def network_population_eigenvalue_and_se(
+    j: int, n_draws: int = 1_000_000, n_times: int = 51, seed: int = 2024
+) -> tuple[float, float]:
+    """Brute-force Monte-Carlo estimate of the j-th population eigenvalue
+    of the network design, with its standard error.
 
     Draws independent trajectory pairs, evaluates the pairwise
-    covariance kernel on the grid, and projects it onto the j-th true
-    direction.  Distances are computed through the two within-community
-    edge-weight curves; that reduction is verified against full
-    adjacency matrices on a subsample before being trusted for the bulk
-    of the draws.
+    covariance kernel on the grid, and projects it onto the j-th
+    eigenfunction of ``true_eigensystem``, whose Rayleigh quotient on the
+    population surface is the j-th eigenvalue.  Distances are computed
+    through the two within-community edge-weight curves; that reduction
+    is verified against full adjacency matrices on a subsample before
+    being trusted for the bulk of the draws.
     """
     truth = true_eigensystem(NetworkSimConfig(n=2, n_times=n_times))
     grid = truth.time_grid
@@ -326,7 +370,7 @@ def network_population_eigenvalue(
         if np.abs(d2_full - d2_fast).max() > 1e-10:
             raise InvalidObject("network distance reduction failed validation")
 
-    total = 0.0
+    total = total_sq = 0.0
     chunk = 50_000
     done = 0
     while done < n_draws:
@@ -336,9 +380,54 @@ def network_population_eigenvalue(
         cross = projected_cross(p1x, p2x, p1y, p2y)
         self_x = projected_cross(p1x, p2x, p1x, p2x)
         self_y = projected_cross(p1y, p2y, p1y, p2y)
-        total += float(np.sum(0.25 * (2.0 * cross - self_x - self_y)))
+        per_pair = 0.25 * (2.0 * cross - self_x - self_y)
+        total += float(np.sum(per_pair))
+        total_sq += float(np.sum(per_pair * per_pair))
         done += size
-    return total / n_draws
+    mean = total / n_draws
+    return mean, float(np.sqrt((total_sq / n_draws - mean * mean) / (n_draws - 1)))
+
+
+def monte_carlo_surface(design: str, n_times: int, n_draws: int, seed: int) -> np.ndarray:
+    """Monte-Carlo estimate of a design's population metric auto-covariance
+    on ``np.linspace(0, 1, n_times)`` from ``n_draws`` independent factor
+    draws, with the factor laws written out here.
+
+    Only the curve parameters are drawn; the surface follows from their
+    sample covariances: Cov(mu) + m1 (Cov(mu, sigma) + Cov(sigma, mu)) +
+    m2 Cov(sigma) for distributions, with m1 and m2 the mean and mean square
+    of the m = 100 probes, and 20 Cov(p1) + 20 Cov(p2) for networks.
+    """
+    grid = np.linspace(0.0, 1.0, n_times)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    if design == "dist":
+        probes = ndtri((np.arange(1, 101) - 0.5) / 100)
+        m1, m2 = probes.mean(), np.mean(probes**2)
+        weights = np.array([[1.0, m1], [m1, m2]])
+    else:
+        weights = 20.0 * np.eye(2)
+    total = np.zeros(2 * n_times)
+    total_sq = np.zeros((2 * n_times, 2 * n_times))
+    shift = None
+    for start in range(0, n_draws, 100_000):
+        size = min(100_000, n_draws - start)
+        if design == "dist":
+            u, v = rng.normal(0.0, np.sqrt(12.0), size), rng.normal(0.0, 1.0, size)
+            w, z = rng.uniform(0.0, np.sqrt(72.0), size), rng.uniform(0.0, 3.0, size)
+            curves = distribution_curve_params(u, v, w, z, grid)
+        else:
+            u, v = rng.uniform(0.0, 0.4, size), rng.uniform(0.0, 0.1, size)
+            w, z = rng.uniform(0.0, 0.3, size), rng.uniform(0.0, 0.1, size)
+            curves = network_curve_params(u, v, w, z, grid)
+        x = np.concatenate(curves, axis=1)
+        if shift is None:  # a common shift keeps the sums of squares accurate
+            shift = x.mean(axis=0)
+        x = x - shift
+        total += x.sum(axis=0)
+        total_sq += x.T @ x
+    cov = (total_sq - np.outer(total, total) / n_draws) / (n_draws - 1)
+    blocks = cov.reshape(2, n_times, 2, n_times)
+    return np.einsum("ab,asbt->st", weights, blocks)
 
 
 # Reference writer: the per-scalar formatter that `ofpca.io` used before

@@ -30,20 +30,20 @@ from ofpca import (
     mise_report,
     object_fpc,
     quantile_space,
-    reconstruct,
     scalar_space,
     simulate,
     sympsd_space,
     trapezoid_weights,
 )
 from ofpca.cli import main as cli_main
-from ofpca.sim import quadrature_orthonormalize
 from ofpca.spaces import project_coordinates
 
 from oracles import (
     classical_cross_covariance,
     monotone_lattice,
     network_population_eigenvalue,
+    quadrature_orthonormalize,
+    reconstruct,
     riemann_sum_minimizer,
 )
 

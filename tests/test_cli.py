@@ -389,6 +389,16 @@ class TestMiseCommand:
         assert row[0] == 6
         assert np.abs(row[1:]).max() <= 1e-8
 
+    @pytest.mark.parametrize("design", ["dist", "net"])
+    def test_truth_debug_errors_are_exactly_zero(self, tmp_path, design):
+        # the population surface itself goes through the eigen step
+        out = tmp_path / "mise.csv"
+        assert run(["mise", "--design", design, "--n", "6,9", "--runs", "2", "--T", "11",
+                    "--m", "8", "--truth-debug", "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == [6, 9]
+        assert not rows[:, 1:].any()
+
     def test_small_table_shape(self, tmp_path):
         out = tmp_path / "mise.csv"
         assert run(["mise", "--design", "net", "--n", "4,6", "--runs", "2",
@@ -425,12 +435,12 @@ class TestMiseCommand:
 
     @pytest.mark.parametrize("n_times", ["3", "4"])
     def test_network_grid_too_coarse_for_truth_exits_2(self, tmp_path, capsys, n_times):
-        # the network directions vanish at both ends, so three or four
-        # grid points cannot hold three orthonormal directions
+        # the network directions vanish at both ends, so on three or four
+        # grid points the truth has rank 1 or 2, below the 3 components asked
         out = tmp_path / "mise.csv"
         assert run(["mise", "--design", "net", "--n", "6", "--runs", "1", "--T", n_times,
                     "--out", out]) == 2
-        assert "orthonormal" in capsys.readouterr().err
+        assert "rank" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -10,11 +10,12 @@ from ofpca import (
     KernelSurface,
     eigendecompose,
     normalize_eigenfunction,
-    reconstruct,
     trapezoid_weights,
 )
 from ofpca.eigen import apply_sign_convention
-from ofpca.sim import distribution_sim_basis, quadrature_orthonormalize
+from ofpca.sim import distribution_sim_basis
+
+from oracles import quadrature_orthonormalize, reconstruct
 
 
 def unit_norm_function(grid, w, seed=0):

@@ -31,9 +31,13 @@ from ofpca import (
     trapezoid_weights,
 )
 from ofpca.fpca import _fraction_count, _numerical_rank
-from ofpca.sim import quadrature_orthonormalize
 
-from oracles import gaussian_quantiles, monotone_lattice, riemann_sum_minimizer
+from oracles import (
+    gaussian_quantiles,
+    monotone_lattice,
+    quadrature_orthonormalize,
+    riemann_sum_minimizer,
+)
 
 
 def scalar_sample(X, grid=None):
@@ -415,6 +419,16 @@ class TestFitPipeline:
         grid = np.linspace(0, 1, 41)
         es = EigenSystem(np.array([1.0, 5e-15]), np.stack(constant_and_cosine(grid)), grid)
         assert _numerical_rank(es) == 1
+
+    def test_zero_spectrum_keeps_one_component(self):
+        # no block of a zero spectrum reaches a fraction; the numerical
+        # rank keeps one component
+        sample = scalar_sample(np.zeros((5, 11)))
+        with pytest.warns(UserWarning, match="numerical rank dropped: 2, 3, 4"):
+            fit = fit_fpca(sample, fpc_objects=False, explained_fraction=0.5)
+        assert fit.eigen.spectrum_total == 0.0
+        assert fit.eigen.num_retained == 1
+        assert fit.scores.shape == (5, 1)
 
     def test_fit_shapes_and_feasibility(self):
         rng = np.random.default_rng(7)

@@ -601,6 +601,18 @@ class TestSampleFromValues:
         assert sample.stacked_values.shape == values.shape
         assert peak < 1.25 * values.nbytes
 
+    def test_read_only_repair_is_kept_uncopied(self):
+        # the repair is the one copy: owning it must not copy it again
+        space = quantile_space(100)
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(13), (400, 51))
+        values[7, 3, 40] = values[7, 3, 41] + 1e-11  # one decrease within tolerance
+        values.flags.writeable = False
+        sample, peak = traced_peak(ObjectSample, space, grid, values)
+        assert not np.shares_memory(sample.stacked_values, values)
+        assert np.all(np.diff(sample.stacked_values[7, 3]) >= 0.0)
+        assert peak < 1.25 * values.nbytes
+
     @pytest.mark.parametrize("space", [quantile_space(100), adjacency_space(10)],
                              ids=lambda sp: sp.tag)
     def test_sample_and_surface_build_one_sample_sized_temporary(self, space):

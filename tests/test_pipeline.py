@@ -117,6 +117,20 @@ class TestMatrixSpacesEndToEnd:
                 assert np.abs(mat - mat.T).max() <= 1e-12
                 assert mat.min() >= 0.0 and mat.max() <= 1.0
 
+    def test_column_means_are_the_means_of_the_object_fpcs(self, tmp_path):
+        data = tmp_path / "dist.json"
+        assert cli_main(["simulate", "--design", "dist", "--n", "12", "--T", "9",
+                         "--m", "7", "--seed", "2", "--out", str(data)]) == 0
+        out = tmp_path / "fit"
+        assert cli_main(["fit", str(data), "--components", "3", "--out", str(out)]) == 0
+        artifact = json.loads((out / "fit.json").read_text())
+        means = artifact["object_fpc_column_means"]
+        assert len(means) == 3 and None not in means
+        for j, mean in enumerate(means):
+            column = np.array([row[j] for row in artifact["object_fpcs"]])
+            assert column.shape == (12, 7)
+            np.testing.assert_allclose(mean, column.mean(axis=0), rtol=1e-12, atol=0)
+
 
 class TestDegenerateDimensions:
     def test_single_point_quantile_space(self):

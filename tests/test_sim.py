@@ -11,9 +11,11 @@ from scipy.special import eval_jacobi, ndtri
 from ofpca import (
     DistributionSimConfig,
     InvalidObject,
+    KernelSurface,
     NetworkSimConfig,
     ObjectPoint,
     distance,
+    eigendecompose,
     estimate_cov_surface,
     jacobi_polynomial,
     mise_report,
@@ -24,12 +26,9 @@ from ofpca import (
 )
 from ofpca import sim
 from ofpca.sim import (
-    DISTRIBUTION_EIGENVALUES,
-    NETWORK_EIGENVALUES,
     distribution_curve_params,
     distribution_sim_basis,
     network_curve_params,
-    quadrature_orthonormalize,
     quantile_probes,
     run_seed,
     _distribution_values,
@@ -40,10 +39,15 @@ from ofpca.sim import (
 
 import oracles
 from oracles import (
+    DISTRIBUTION_EIGENVALUES,
+    NETWORK_EIGENVALUES,
     distribution_trajectory,
     mc_pair_kernel_mean,
+    monte_carlo_surface,
     network_population_eigenvalue,
+    network_population_eigenvalue_and_se,
     network_trajectory,
+    reconstruct,
     traced_peak,
 )
 
@@ -360,8 +364,6 @@ class TestTruth:
             assert np.abs(gram - np.eye(3)).max() <= 1e-6
 
     def test_surface_reproduces_eigenvalues(self):
-        from ofpca import KernelSurface, eigendecompose, reconstruct
-
         truth = true_eigensystem(DistributionSimConfig(n=2, n_times=41))
         surface = KernelSurface(truth.time_grid, reconstruct(truth))
         es = eigendecompose(surface, k=3)
@@ -370,24 +372,34 @@ class TestTruth:
 
     @pytest.mark.parametrize("n_times", [5, 51])
     @pytest.mark.parametrize("make_cfg", [DistributionSimConfig, NetworkSimConfig])
-    def test_reconstruct_is_the_rank3_surface_bit_for_bit(self, make_cfg, n_times):
-        # the truth eigenvalues are positive, so clipping in reconstruct
-        # changes nothing and the surface is exactly (phi^T Lambda) phi
-        from ofpca import reconstruct
-
-        truth = true_eigensystem(make_cfg(n=2, n_times=n_times))
-        funs, vals = truth.eigenfunctions, truth.eigenvalues
-        assert np.array_equal(reconstruct(truth), (funs.T * vals) @ funs)
-        assert truth.spectrum_total == float(np.sum(vals))
-
-    @pytest.mark.parametrize("n_times", [5, 51, 101])
-    def test_network_truth_is_the_orthonormalized_directions(self, n_times):
-        cfg = NetworkSimConfig(n=2, n_times=n_times)
-        basis = np.stack([network_sim_basis(j, cfg.time_grid) for j in (1, 2, 3)])
-        want = quadrature_orthonormalize(basis, trapezoid_weights(cfg.time_grid))
+    def test_truth_is_the_population_eigensystem(self, make_cfg, n_times):
+        cfg = make_cfg(n=2, n_times=n_times)
+        surface = cfg.population_surface()
+        assert surface.shape == (n_times, n_times)
         truth = true_eigensystem(cfg)
-        assert truth.eigenfunctions.tobytes() == want.tobytes()
-        assert truth.eigenvalues.tolist() == list(NETWORK_EIGENVALUES)
+        want = eigendecompose(KernelSurface(cfg.time_grid, surface), k=3)
+        assert truth.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert truth.eigenfunctions.tobytes() == want.eigenfunctions.tobytes()
+        assert truth.spectrum_total == want.spectrum_total
+
+    @pytest.mark.parametrize("design", ["dist", "net"])
+    def test_population_surface_matches_monte_carlo(self, design):
+        # ten replicates of 10^5 independent draws, with the sigma floor and
+        # the [0, 1] clamp; the truth must lie within 3 standard errors (in
+        # the quadrature L2 norm) of their mean
+        cfg = (DistributionSimConfig if design == "dist" else NetworkSimConfig)(n=2, n_times=21)
+        w = trapezoid_weights(cfg.time_grid)
+        reps = np.stack([monte_carlo_surface(design, 21, 100_000, seed) for seed in range(10)])
+        mean = reps.mean(axis=0)
+        ise = lambda a, b: float(w @ (a - b) ** 2 @ w)  # noqa: E731
+        var_of_mean = sum(ise(rep, mean) for rep in reps) / (10 * 9)
+        assert ise(cfg.population_surface(), mean) <= 9.0 * var_of_mean
+
+    def test_network_third_eigenvalue_matches_the_pair_oracle(self):
+        # the oracle projects the pairwise kernel of independent draws on the
+        # truth's third eigenfunction, so it estimates that eigenvalue
+        lam3, se = network_population_eigenvalue_and_se(3, n_draws=300_000)
+        assert abs(true_eigensystem(NetworkSimConfig(n=2)).eigenvalues[2] - lam3) <= 3.0 * se
 
     def test_unknown_config_rejected(self):
         with pytest.raises(InvalidObject):
@@ -439,3 +451,61 @@ class TestMiseHarness:
     def test_run_seed_deterministic(self):
         assert run_seed(7, 3) == run_seed(7, 3)
         assert run_seed(7, 3) != run_seed(7, 4)
+
+    def test_run_seed_pinned(self):
+        # SeedSequence output is stable by numpy's policy, and every mise
+        # table depends on these values; (5, 2) also pins the entropy's order
+        assert run_seed(0, 0) == 15793235383387715774
+        assert run_seed(5, 2) == 4160164373342109173
+
+
+def per_run_errors(cfg, runs, n_components=3):
+    """Each run's ISE(C), ISE(phi_j) and squared lambda_j error, computed
+    directly from the population surface, as an (runs, 1 + 2 K) array."""
+    true_surface = cfg.population_surface()
+    truth = true_eigensystem(cfg)
+    w = truth.quad_weights
+    rows = []
+    for r in range(runs):
+        surface = estimate_cov_surface(simulate(replace(cfg, seed=run_seed(cfg.seed, r))))
+        es = eigendecompose(surface, k=n_components)
+        phi_true = truth.eigenfunctions[:n_components]
+        signs = np.where(np.sum(es.eigenfunctions * w * phi_true, axis=1) < 0, -1.0, 1.0)
+        phi_err = ((es.eigenfunctions * signs[:, None] - phi_true) ** 2) @ w
+        lam_err = (es.eigenvalues - truth.eigenvalues[:n_components]) ** 2
+        rows.append(np.r_[w @ (surface.values - true_surface) ** 2 @ w, phi_err, lam_err])
+    return np.array(rows)
+
+
+class TestMiseAgainstPopulation:
+    @pytest.mark.parametrize("n_components", [1, 3])
+    @pytest.mark.parametrize("cfg", [DistributionSimConfig(n=20, n_times=11, m=9, seed=4),
+                                     NetworkSimConfig(n=20, n_times=11, seed=4)],
+                             ids=["dist", "net"])
+    def test_report_is_the_mean_of_direct_per_run_errors(self, cfg, n_components):
+        rep = mise_report(cfg, runs=4, n_components=n_components)
+        want = per_run_errors(cfg, 4, n_components).mean(axis=0)
+        got = np.r_[rep["mise_c"], rep["mise_phi"], rep["mise_lambda"]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.fixture(scope="class")
+    def network_errors(self):
+        # 40 runs of the network design's per-run ISE(C) at n = 400 and 1600
+        return {n: per_run_errors(NetworkSimConfig(n=n, seed=7), 40, 1)[:, 0]
+                for n in (400, 1600)}
+
+    def test_network_mise_c_falls_like_one_over_n(self, network_errors):
+        # consistency: from n = 400 to 1600 MISE(C) falls 4x against an exact
+        # truth; judged by the per-run standard errors, it falls at least 3x
+        (m400, se400), (m1600, se1600) = (
+            (e.mean(), e.std(ddof=1) / np.sqrt(e.size)) for e in network_errors.values())
+        assert m400 - 3.0 * m1600 >= -2.0 * np.hypot(se400, 3.0 * se1600)
+
+    def test_network_quadrature_converged(self, network_errors, monkeypatch):
+        # halving the node spacing moves the truth by under 1% of MISE(C) at n = 1600
+        cfg = NetworkSimConfig(n=2)
+        w = trapezoid_weights(cfg.time_grid)
+        coarse = cfg.population_surface()
+        monkeypatch.setattr(sim, "TRUTH_NODES", 2 * sim.TRUTH_NODES)
+        fine = cfg.population_surface()
+        assert w @ (fine - coarse) ** 2 @ w <= 0.01 * network_errors[1600].mean()
