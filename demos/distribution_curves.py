@@ -27,7 +27,7 @@ es = of.eigendecompose(surface, k=4)
 print("\ntop eigenvalues:", np.round(es.eigenvalues, 3))
 print("population values (12, 6, 1.75, 0) for this design")
 print("explained fractions:", np.round(es.explained_fractions, 4).tolist())
-print("total variance (trace):", round(of.total_variance(surface), 3))
+print("total variance (trace):", round(es.spectrum_total, 3))
 
 # ---------------------------------------------------------------------
 # Frechet mean curve: for quantile objects this is the pointwise

@@ -29,8 +29,8 @@ classical = centered.T @ centered / (n - 1)
 print("max |U-statistic - classical covariance| =",
       f"{np.abs(surface.values - classical).max():.2e}")
 
-# 2. trace == integrated pointwise variance
-lhs = of.total_variance(surface)
+# 2. trace (the sum of all T eigenvalues) == integrated pointwise variance
+lhs = of.eigendecompose(surface, k=T).spectrum_total
 rhs = float(np.dot(surface.quad_weights, X.var(axis=0, ddof=1)))
 print(f"trace {lhs:.6f} vs integrated variance {rhs:.6f}")
 

@@ -39,7 +39,6 @@ from .kernel import (
     metric_correlation,
     metric_covariance,
     metric_variance,
-    total_variance,
     trapezoid_weights,
 )
 from .sim import (
@@ -110,7 +109,6 @@ __all__ = [
     "simulate",
     "squared_distance",
     "sympsd_space",
-    "total_variance",
     "trapezoid_weights",
     "true_eigensystem",
 ]

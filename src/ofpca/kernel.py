@@ -18,15 +18,19 @@ the coordinate curves:
 
     C_hat(s, t) = 1/(n-1) * sum_i <Z_i(s) - Zbar(s), Z_i(t) - Zbar(t)>.
 
-:func:`estimate_cov_surface` takes the mean first, in one pass in the
-sample's own memory order (``_coordinate_mean``), then adds the product
-of each centered, weighted block of trajectories, a (T, b k) array of
-about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k) cost,
-with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
+:func:`estimate_cov_surface` computes this with
+``_coordinate_covariance``, which takes the mean first, in one pass in
+the sample's own memory order (``_coordinate_mean``), then adds the
+product of each centered, weighted block of trajectories, a (T, b k)
+array of about ``_BLOCK_FLOATS`` floats, into one T x T sum: O(n T^2 k)
+cost, with k = L for scalars and quantiles, r(r-1)/2 for adjacency and
 r(r+1)/2 for sympsd, and no temporary the size of the sample.
 Centering first also keeps the result accurate for curves with a large
 common offset.  ``_blocks`` cuts the trajectories into those blocks;
-the distance curves of ``ofpca.fpca`` use it too.  The distance-only
+the distance curves of ``ofpca.fpca`` use it too.  The metric
+covariance of paired objects is the same statistic on the two-point
+curves (U_i, V_i): :func:`metric_covariance` is entry (0, 1) of
+``_coordinate_covariance`` on them.  The distance-only
 pair kernel is kept as a test oracle in ``tests/oracles.py``.  An
 :class:`ObjectSample` is built from one (n, T, L) array, which it
 validates as a block and keeps read-only, so every stage can batch over
@@ -100,14 +104,15 @@ def _admit(obj, field: str, ndim: int) -> None:
     (n >= 2, T, L) with ndim 3), validate (and repair within tolerance) the array as
     one block, and set both on the frozen ``obj`` (``_freeze``)."""
     t = _check_time_grid(obj.time_grid)
-    values = np.asarray(getattr(obj, field), dtype=float)
+    raw = getattr(obj, field)
+    values = np.asarray(raw, dtype=float)
     if values.ndim != ndim or values.shape[-2:] != (t.size, obj.space.data_len):
         raise InvalidObject(
             f"values must have shape (..., T={t.size}, {obj.space.data_len}), got {values.shape}"
         )
     if ndim == 3 and values.shape[0] < 2:
         raise TooFewTrajectories("a sample needs at least two trajectories")
-    _freeze(obj, time_grid=t, **{field: _admitted(obj.space, values)})
+    _freeze(obj, time_grid=t, **{field: _admitted(obj.space, values, raw)})
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,16 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
     """U-statistic estimate of the metric auto-covariance surface: the
     centered cross-covariance of the weighted metric coordinates, summed
     over blocks of trajectories (see the module docstring)."""
-    values = sample.stacked_values
+    surface = _coordinate_covariance(sample.stacked_values, sample.space)
+    surface.flags.writeable = False  # so that the surface keeps it uncopied
+    return KernelSurface(sample.time_grid, surface)
+
+
+def _coordinate_covariance(values: np.ndarray, space: SpaceKind) -> np.ndarray:
+    """The symmetrized (T, T) unbiased cross-covariance of the weighted metric
+    coordinates of ``values`` (n, T, L), summed over blocks of trajectories."""
     n, T, _ = values.shape
-    keep, w = sample.space.metric_coordinates()
+    keep, w = space.metric_coordinates()
     mean = _coordinate_mean(values)[:, None, keep]
     surface = np.zeros((T, T))
     # a one-node network keeps no coordinates: its blocks are empty, its surface zero
@@ -215,32 +227,13 @@ def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
         X = X.reshape(T, -1, order="A")
         surface += X @ X.T
         del X  # so that one block is alive at a time
-    surface = (surface + surface.T) / (2 * (n - 1))
-    surface.flags.writeable = False  # so that the surface keeps it uncopied
-    return KernelSurface(sample.time_grid, surface)
-
-
-def _centered_points(objs: list[ObjectPoint]) -> tuple[SpaceKind, np.ndarray]:
-    """Scaled coordinates of the objects minus their mean, as (n, L).
-
-    The rows are shifted by the first object before centering, so
-    identical objects center to exact zeros.
-    """
-    if len(objs) < 2:
-        raise TooFewTrajectories("need at least two objects")
-    space = objs[0].space
-    for o in objs[1:]:
-        if o.space != space:
-            raise SpaceMismatch("objects must share a space")
-    rows = np.stack([o.data for o in objs])
-    rows = rows - rows[0]
-    rows -= rows.mean(axis=0)
-    return space, rows * space.coord_scale
+    return (surface + surface.T) / (2 * (n - 1))
 
 
 def metric_variance(objs: list[ObjectPoint]) -> float:
     """U-statistic estimate of the metric variance (1/2) E d^2(U, U'),
-    computed as sum_i ||U_i - Ubar||^2 / (n-1) in scaled coordinates.
+    ``metric_covariance(objs, objs)``: sum_i ||U_i - Ubar||^2 / (n-1) in
+    metric coordinates.
 
     Equals, up to round-off, the diagonal of :func:`estimate_cov_surface`
     when the objects are a time slice of a sample, and the unbiased
@@ -250,30 +243,36 @@ def metric_variance(objs: list[ObjectPoint]) -> float:
 
 
 def metric_covariance(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
-    """U-statistic estimate of the metric covariance of paired objects,
-    computed as sum_i <U_i - Ubar, V_i - Vbar> / (n-1) in scaled
-    coordinates.
+    """U-statistic estimate of the metric covariance of paired objects:
+    entry (0, 1) of the auto-covariance surface of the two-point curves
+    (u_i, v_i), computed by the surface's own code.
 
     Both lists must live in the same space: the U-statistic evaluates
-    distances between u- and v-objects.  :func:`metric_variance` is this
-    with ``u`` equal to ``v``, so self-correlation is exactly 1.
+    distances between u- and v-objects.  The pairs are shifted by the
+    first pair before the mean is taken, so identical objects give exactly
+    0.  :func:`metric_variance` is this with ``u`` equal to ``v``, so
+    self-correlation is exactly 1.
     """
-    space_u, rows_u = _centered_points(u)
-    space_v, rows_v = _centered_points(v)
-    if space_u != space_v:
-        raise SpaceMismatch("metric covariance needs both margins in one space")
-    if rows_u.shape[0] != rows_v.shape[0]:
+    if min(len(u), len(v)) < 2:
+        raise TooFewTrajectories("need at least two objects")
+    space = u[0].space
+    if any(o.space != space for o in (*u, *v)):
+        raise SpaceMismatch("metric covariance needs all objects in one space")
+    if len(u) != len(v):
         raise InvalidObject("paired lists must have equal length")
-    return float(np.sum(rows_u * rows_v) / (rows_u.shape[0] - 1))
+    pairs = np.array([(a.data, b.data) for a, b in zip(u, v)])
+    pairs = pairs - pairs[0]
+    return float(_coordinate_covariance(pairs, space)[0, 1])
 
 
 def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     """Metric correlation in [-1, 1]: covariance over the geometric mean
     of the two metric variances.
 
-    Raises DegenerateVariance if either margin has zero variance.  Both
-    margins are centered by ``_centered_points``, so the empirical
-    Cauchy-Schwarz bound holds up to round-off, which the clamp removes.
+    Raises DegenerateVariance if either margin has zero variance.  The
+    covariance and both variances are separate calls on one set of
+    coordinates, so the empirical Cauchy-Schwarz bound holds up to
+    round-off, which the clamp removes.
     """
     var_u = metric_variance(u)
     var_v = metric_variance(v)
@@ -281,8 +280,3 @@ def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
         raise DegenerateVariance("zero metric variance in a margin")
     rho = metric_covariance(u, v) / np.sqrt(var_u * var_v)
     return float(np.clip(rho, -1.0, 1.0))
-
-
-def total_variance(surface: KernelSurface) -> float:
-    """Quadrature integral of the surface diagonal (the operator trace)."""
-    return float(np.dot(surface.quad_weights, np.diagonal(surface.values)))

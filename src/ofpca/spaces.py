@@ -225,11 +225,13 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _admitted(space: SpaceKind, block: np.ndarray) -> np.ndarray:
-    """``validate_block(space, block)``, with a repair (which shares no memory
-    with ``block``) made read-only, so that ``_own`` keeps it uncopied."""
+def _admitted(space: SpaceKind, block: np.ndarray, raw) -> np.ndarray:
+    """``validate_block(space, block)`` of ``block``, the float64 form of the
+    caller's ``raw``.  A result that shares no memory with ``raw`` (a
+    conversion or a repair) is made read-only, so that ``_own`` keeps it
+    uncopied."""
     admitted = validate_block(space, block)
-    if not np.may_share_memory(admitted, block):
+    if not (isinstance(raw, np.ndarray) and np.may_share_memory(admitted, raw)):
         admitted.flags.writeable = False
     return admitted
 
@@ -252,7 +254,7 @@ class ObjectPoint:
         data = np.asarray(self.data, dtype=float)
         if data.shape != (self.space.data_len,):
             raise InvalidObject(f"a point needs shape ({self.space.data_len},), got {data.shape}")
-        _freeze(self, data=_admitted(self.space, data))
+        _freeze(self, data=_admitted(self.space, data, self.data))
 
     def matrix(self) -> np.ndarray:
         """The object as an (r, r) matrix (matrix spaces only)."""

@@ -80,6 +80,34 @@ MUTANTS = [
     ("mise-lambda-abs", "src/ofpca/sim.py",
      "(es.eigenvalues[j] - truth.eigenvalues[j]) ** 2",
      "abs(es.eigenvalues[j] - truth.eigenvalues[j])"),
+    ("trap-end-weight", "src/ofpca/kernel.py",
+     "w[0] = 0.5 * (t[1] - t[0])", "w[0] = 1.0 * (t[1] - t[0])"),
+    ("distance-scale", "src/ofpca/fpca.py",
+     "        diff *= scale\n", ""),
+    ("factor-stream-order", "src/ofpca/sim.py",
+     "zip(cfg._FACTORS, streams)", "zip(cfg._FACTORS, streams[::-1])"),
+    ("covariance-first-shift", "src/ofpca/kernel.py",
+     "    pairs = pairs - pairs[0]\n", ""),
+    ("numbers-16g", "src/ofpca/io.py",
+     '"%.17g"', '"%.16g"'),
+    ("quantile-grid", "src/ofpca/spaces.py",
+     "(np.arange(1, m + 1) - 0.5) / m", "np.arange(1, m + 1) / (m + 1)"),
+    ("cross-weight", "src/ofpca/sim.py",
+     "_CROSS_WEIGHT = 0.1", "_CROSS_WEIGHT = 0.2"),
+    ("cross-weight-ulp", "src/ofpca/sim.py",
+     "_CROSS_WEIGHT = 0.1", "_CROSS_WEIGHT = 0.1000000000000001"),
+    ("explained-clip", "src/ofpca/eigen.py",
+     "vals = np.clip(self.eigenvalues, 0.0, None)", "vals = self.eigenvalues"),
+    ("basis-norm-grid", "src/ofpca/sim.py",
+     "np.linspace(0.0, 1.0, 100001)", "np.linspace(0.0, 1.0, 1001)"),
+    ("psd-resymmetrize", "src/ofpca/spaces.py",
+     "    psd = 0.5 * (psd + np.swapaxes(psd, -1, -2))\n", ""),
+    ("spectrum-total-retained", "src/ofpca/eigen.py",
+     "    spectrum_total = float(np.clip(vals, 0.0, None).sum())\n    vals = vals[:k]\n",
+     "    vals = vals[:k]\n    spectrum_total = float(np.clip(vals, 0.0, None).sum())\n"),
+    ("admitted-converted", "src/ofpca/spaces.py",
+     "isinstance(raw, np.ndarray) and np.may_share_memory(admitted, raw)",
+     "np.may_share_memory(admitted, block)"),
 ]
 
 

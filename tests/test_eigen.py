@@ -223,6 +223,14 @@ class TestExplainedFraction:
         es = eigendecompose(KernelSurface(grid, vals), k=21)
         assert es.explained_fractions[0] == pytest.approx(1.0, abs=1e-10)
 
+    def test_negative_retained_eigenvalue_explains_nothing(self):
+        # a fit trims to the numerical rank, so only a built system reaches this
+        grid = np.array([0.0, 0.5, 1.0])
+        funs = np.array([[1.0, 1.0, 1.0], [np.sqrt(2.0), 0.0, -np.sqrt(2.0)]])
+        es = EigenSystem(np.array([1.0, -0.5]), funs, grid)
+        assert es.spectrum_total == 1.0
+        assert es.explained_fractions.tolist() == [1.0, 0.0]
+
     def test_degenerate_spectrum(self):
         # no share of a zero spectrum: every fraction reads zero
         grid = np.linspace(0, 1, 11)

@@ -22,6 +22,7 @@ from ofpca import (
     TooFewTrajectories,
     adjacency_space,
     distance_curves,
+    eigendecompose,
     estimate_cov_surface,
     fit_fpca,
     frechet_mean_trajectory,
@@ -33,7 +34,6 @@ from ofpca import (
     simulate,
     squared_distance,
     sympsd_space,
-    total_variance,
     trapezoid_weights,
 )
 
@@ -262,6 +262,13 @@ class TestMetricVariance:
         want = np.var(vals, ddof=1)
         assert abs(metric_variance(objs) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("data", [[0.1], [0.1, 0.2, 0.7]], ids=["scalar", "quantile"])
+    def test_identical_inexact_objects(self, data):
+        # the mean of three copies of 0.1 is not 0.1 in floating point; the
+        # shift by the first pair makes the variance exactly 0 all the same
+        space = SpaceKind("scalar" if len(data) == 1 else "quantile", len(data))
+        assert metric_variance([ObjectPoint(space, data) for _ in range(3)]) == 0.0
+
     def test_matches_surface_diagonal(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(7, 5))
@@ -271,6 +278,23 @@ class TestMetricVariance:
         for t in range(5):
             objs = [ObjectPoint(space, [X[i, t]]) for i in range(7)]
             assert metric_variance(objs) == pytest.approx(surface.values[t, t], abs=1e-12)
+
+
+@pytest.mark.parametrize("space", [scalar_space(), quantile_space(6), adjacency_space(4),
+                                   sympsd_space(3)], ids=lambda sp: sp.tag)
+def test_surface_entries_are_metric_covariances(space):
+    # C(s, t) is the metric covariance of the paired objects (X(s), X(t))
+    rng = np.random.default_rng(22)
+    n, T = 12, 6
+    # a common object per trajectory keeps every entry of the surface far from 0
+    values = 0.7 * random_objects(space, rng, (n, 1)) + 0.3 * random_objects(space, rng, (n, T))
+    sample = ObjectSample(space, np.linspace(0.0, 1.0, T), values)
+    surface = estimate_cov_surface(sample).values
+    X = sample.stacked_values
+    for s, t in [(0, 5), (1, 3), (4, 2), (2, 3)]:
+        u = [ObjectPoint(space, X[i, s]) for i in range(n)]
+        v = [ObjectPoint(space, X[i, t]) for i in range(n)]
+        assert metric_covariance(u, v) == pytest.approx(surface[s, t], rel=1e-12)
 
 
 class TestMetricCorrelation:
@@ -350,10 +374,13 @@ class TestMetricCorrelation:
 
 
 class TestTotalVariance:
+    """The operator trace, sum of eigenvalues = integral of C(t, t), is the
+    eigensystem's ``spectrum_total``."""
+
     def test_zero_surface(self):
         grid = np.linspace(0, 1, 5)
         surface = KernelSurface(grid, np.zeros((5, 5)))
-        assert total_variance(surface) == 0.0
+        assert eigendecompose(surface, k=5).spectrum_total == 0.0
 
     def test_rank_one_trace(self):
         grid = np.linspace(0, 1, 201)
@@ -362,7 +389,7 @@ class TestTotalVariance:
         phi = phi / np.sqrt(np.dot(w, phi * phi))
         lam = 4.5
         surface = KernelSurface(grid, lam * np.outer(phi, phi))
-        assert total_variance(surface) == pytest.approx(lam, rel=1e-10)
+        assert eigendecompose(surface, k=201).spectrum_total == pytest.approx(lam, rel=1e-10)
 
     def test_scalar_sample_matches_pointwise_variance_integral(self):
         rng = np.random.default_rng(16)
@@ -371,12 +398,16 @@ class TestTotalVariance:
         surface = estimate_cov_surface(sample)
         w = surface.quad_weights
         pointwise = X.var(axis=0, ddof=1)
-        assert total_variance(surface) == pytest.approx(float(np.dot(w, pointwise)), abs=1e-10)
+        trace = eigendecompose(surface, k=9).spectrum_total
+        assert trace == pytest.approx(float(np.dot(w, pointwise)), abs=1e-10)
 
     def test_nonnegative_on_simulated_fixture(self):
+        # the raw trace too: a rank-5 surface on 8 points has only round-off below 0
         rng = np.random.default_rng(17)
         X = rng.normal(size=(6, 8))
-        assert total_variance(estimate_cov_surface(scalar_sample(X))) >= -1e-8
+        es = eigendecompose(estimate_cov_surface(scalar_sample(X)), k=8)
+        assert es.eigenvalues.sum() >= -1e-8
+        assert es.spectrum_total == pytest.approx(es.eigenvalues.sum(), abs=1e-12)
 
 
 class TestSurfaceInvariants:
@@ -611,6 +642,16 @@ class TestSampleFromValues:
         sample, peak = traced_peak(ObjectSample, space, grid, values)
         assert not np.shares_memory(sample.stacked_values, values)
         assert np.all(np.diff(sample.stacked_values[7, 3]) >= 0.0)
+        assert peak < 1.25 * values.nbytes
+
+    def test_conversion_is_the_one_copy(self):
+        # a float32 input is converted once: owning the conversion must not copy it again
+        space = quantile_space(100)
+        grid = np.linspace(0.0, 1.0, 51)
+        values = random_objects(space, np.random.default_rng(13), (400, 51))
+        single = values.astype(np.float32)
+        sample, peak = traced_peak(ObjectSample, space, grid, single)
+        assert np.array_equal(sample.stacked_values, single)
         assert peak < 1.25 * values.nbytes
 
     @pytest.mark.parametrize("space", [quantile_space(100), adjacency_space(10)],

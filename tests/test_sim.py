@@ -93,6 +93,15 @@ class TestNetworkBasis:
             phi = network_sim_basis(j, grid)
             assert np.trapezoid(phi * phi, grid) == pytest.approx(1.0, abs=1e-6)
 
+    def test_unit_norm_exact(self):
+        # phi_j^2 is a polynomial of degree 4j + 7 <= 19, which 12-node
+        # Gauss-Legendre integrates exactly: the normalization must be
+        # right to round-off, not only to a fine grid's quadrature error
+        x, w = np.polynomial.legendre.leggauss(12)
+        for j in (1, 2, 3):
+            phi = network_sim_basis(j, (x + 1.0) / 2.0)
+            assert np.dot(w / 2.0, phi * phi) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("T", [5, 51, 101])
     def test_cached_directions_read_only_and_bit_equal(self, T):
         grid = np.linspace(0.0, 1.0, T)
