@@ -29,7 +29,7 @@ from .spaces import _count, _freeze
 SIGN_INTEGRAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem(_OnGrid):
     """Descending eigenvalues with L2-orthonormal eigenfunctions on a grid.
 

@@ -135,7 +135,7 @@ def _project_curves(curves: np.ndarray, es: EigenSystem) -> np.ndarray:
     return curves @ (es.eigenfunctions * es.quad_weights).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpcaFit:
     """Bundle of everything the pipeline estimates from one sample.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -38,10 +38,6 @@ def _numbers(values, sep: str) -> str:
     if not finite.all():
         raise InvalidObject(f"cannot serialize non-finite float {float(arr[~finite][0])!r}")
     return sep.join(["%.17g"] * arr.size) % tuple(arr.tolist())
-
-
-def format_float(x: float) -> str:
-    return _numbers([x], "")
 
 
 def _emit(obj: Any, parts: list[str], indent: int) -> None:
@@ -77,7 +73,7 @@ def _scalar(obj: Any) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        return _numbers([obj], "")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InvalidObject(f"cannot serialize {type(obj).__name__}")
@@ -240,25 +236,19 @@ def save_trajectory_file(sample: ObjectSample, path) -> None:
     write_json(doc, path)
 
 
-class _Trajectories(NamedTuple):
-    """A streamed ``trajectories`` array.  ``values`` (n, T, L) holds its
-    elements up to the first whose shape is not element 0's; ``misfit``
-    is that element's index and shape, or None.  ``values`` is None when
-    the array is empty."""
-
-    values: np.ndarray | None
-    misfit: tuple[int, tuple] | None
-
-
-def _fill_trajectories(elements) -> _Trajectories:
-    """Each element as a finite 2-d float array, copied into one array
-    with the first element's shape as it is decoded.  Elements from the
-    first misfit on are still checked, but not kept."""
+def _fill_trajectories(elements) -> tuple[np.ndarray | None, tuple[int, tuple] | None]:
+    """A streamed ``trajectories`` array as ``(values, misfit)``.  Each
+    element is a finite 2-d float array, copied as it is decoded into
+    ``values`` (n, T, L), which holds the elements up to the first whose
+    shape is not element 0's; ``misfit`` is that element's index and
+    shape, or None.  Elements from the misfit on are still checked, but
+    not kept.  ``values`` is None when the array is empty.  JSON decodes
+    to no tuple, so the tuple tells a streamed array from a raw value."""
     arrays = (_real_array(raw, f"trajectories[{i}]", ("*", "*"))
               for i, raw in enumerate(elements))
     first = next(arrays, None)
     if first is None:
-        return _Trajectories(None, None)
+        return None, None
     misfit = None
 
     def fitting():
@@ -274,7 +264,7 @@ def _fill_trajectories(elements) -> _Trajectories:
     # never has the (T >= 2, L >= 1) shape that a sample needs
     values = (np.fromiter(fitting(), np.dtype((float, first.shape))) if first.size
               else np.array(list(fitting())))
-    return _Trajectories(values, misfit)
+    return values, misfit
 
 
 def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
@@ -295,11 +285,11 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
 
     grid = _time_grid(_require(doc, "time_grid"))
     trajs = doc.get("trajectories")
-    if not isinstance(trajs, _Trajectories):
+    if not isinstance(trajs, tuple):
         _require(doc, "trajectories", list)  # missing, or not an array: raises
-    if trajs.values is None:
-        raise SchemaError("trajectories must be non-empty", field="trajectories")
     values, misfit = trajs
+    if values is None:
+        raise SchemaError("trajectories must be non-empty", field="trajectories")
     del doc, trajs  # ``values`` alone holds the sample, so a repair frees it
     shape = (grid.size, space.data_len)
     _check_shape(values.shape[1:], "trajectories[0]", shape)

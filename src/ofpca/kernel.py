@@ -115,7 +115,7 @@ def _admit(obj, field: str, ndim: int) -> None:
     _freeze(obj, time_grid=t, **{field: _admitted(obj.space, values, raw)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectTrajectory:
     """One object-valued curve: a time grid plus one object per time.
 
@@ -137,7 +137,7 @@ class ObjectTrajectory:
         return self.time_grid.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectSample:
     """n >= 2 trajectories on one space and time grid, held as one
     read-only (n, T, data_len) array ``stacked_values``; ``trajectories``
@@ -173,7 +173,7 @@ class _OnGrid:
         return _own(_trapezoid(self.time_grid))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSurface(_OnGrid):
     """A symmetric T x T kernel on a time grid, with its ``quad_weights``.
 

@@ -156,7 +156,8 @@ def _as_matrices(space: SpaceKind, block: np.ndarray) -> np.ndarray:
 def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     """Validate (and, within tolerance, repair) a batch of raw objects.
 
-    ``block`` has shape (..., data_len).  Violations beyond
+    ``block`` has shape (..., data_len); checking that shape is the
+    caller's job, as every caller checks its own.  Violations beyond
     ``ADMISSION_TOL`` raise InvalidObject; violations within it are
     repaired in a copy (metrically projected).  Returns the
     admitted data, sharing memory with ``block`` when nothing needed
@@ -166,11 +167,6 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     needs: a NaN reaches both the minimum and the maximum, an inf one.
     """
     block = np.asarray(block, dtype=float)
-    if block.shape[-1] != space.data_len:
-        raise InvalidObject(
-            f"expected data of length {space.data_len} for {space.tag}, "
-            f"got {block.shape[-1]}"
-        )
     if space.tag == "adjacency":
         lo, hi = block.min(), block.max()
         finite = np.isfinite(lo) and np.isfinite(hi)
@@ -236,7 +232,7 @@ def _admitted(space: SpaceKind, block: np.ndarray, raw) -> np.ndarray:
     return admitted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectPoint:
     """One element of a metric space, stored as a flat coordinate vector.
 
@@ -261,13 +257,6 @@ class ObjectPoint:
         if not self.space.is_matrix:
             raise InvalidObject(f"{self.space.tag} objects are not matrices")
         return self.data.reshape(self.space.dim, self.space.dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ObjectPoint)
-            and self.space == other.space
-            and np.array_equal(self.data, other.data)
-        )
 
 
 def distance(a: ObjectPoint, b: ObjectPoint) -> float:

@@ -108,6 +108,38 @@ MUTANTS = [
     ("admitted-converted", "src/ofpca/spaces.py",
      "isinstance(raw, np.ndarray) and np.may_share_memory(admitted, raw)",
      "np.may_share_memory(admitted, block)"),
+    ("container-identity", "src/ofpca/kernel.py",
+     "@dataclass(frozen=True, eq=False)\nclass ObjectSample:",
+     "@dataclass(frozen=True)\nclass ObjectSample:"),
+    ("point-identity", "src/ofpca/spaces.py",
+     "@dataclass(frozen=True, eq=False)\nclass ObjectPoint:",
+     "@dataclass(frozen=True)\nclass ObjectPoint:"),
+    ("grid-finite", "src/ofpca/kernel.py",
+     "if not np.all(np.isfinite(t)):", "if False:"),
+    ("surface-shape", "src/ofpca/kernel.py",
+     "if vals.shape != (t.size, t.size):", "if False:"),
+    ("eigenfunction-shape", "src/ofpca/eigen.py",
+     "if funs.shape != (vals.size, t.size):", "if False:"),
+    ("pair-count", "src/ofpca/kernel.py",
+     "if min(len(u), len(v)) < 2:", "if False:"),
+    ("pair-lengths", "src/ofpca/kernel.py",
+     "if len(u) != len(v):", "if False:"),
+    ("network-basis-index", "src/ofpca/sim.py",
+     'if _count(j, "j", 1) > 3:', 'if _count(j, "j", 1) > 4:'),
+    ("space-tag", "src/ofpca/spaces.py",
+     "if self.tag not in SPACE_TAGS:", "if False:"),
+    ("scalar-dim", "src/ofpca/spaces.py",
+     'if self.tag == "scalar" and self.dim != 1:', "if False:"),
+    ("quantile-grid-space", "src/ofpca/spaces.py",
+     'if self.tag != "quantile":', "if False:"),
+    ("matrix-space", "src/ofpca/spaces.py",
+     "if not self.space.is_matrix:", "if False:"),
+    ("projection-finite", "src/ofpca/spaces.py",
+     "if not np.all(np.isfinite(raw)):", "if False:"),
+    ("dumps-type", "src/ofpca/io.py",
+     'raise InvalidObject(f"cannot serialize {type(obj).__name__}")', "return str(obj)"),
+    ("empty-first-trajectory", "src/ofpca/io.py",
+     "if first.size", "if True"),
 ]
 
 

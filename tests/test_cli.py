@@ -194,6 +194,8 @@ class TestFitCommand:
             (head + "{}}", "trajectories: expected list, got dict"),
             (head + "[[[NaN], [1.0]], [[0.0], [1.0]]]}", "trajectories[0]: values must be finite"),
             (head + "[]}", "trajectories: trajectories must be non-empty"),
+            # a first element with no values is filled without np.fromiter
+            (head + "[[[]], [[0.0], [1.0]]]}", "trajectories[0]: expected shape (2, 1), got (1, 0)"),
             (extra, f"not valid JSON: Extra data at char {len(extra) - 2}"),
             ('{"space": "adjacency", "dim": 2, "time_grid": [0.0, 1.0], "trajectories": '
              f"[[[0, 1.5, 1.5, 0], {zero}], [{zero}, {zero}]]}}",

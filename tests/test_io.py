@@ -24,12 +24,12 @@ class TestFloats:
         tricky = [0.1, 1.0 / 3.0, 1e-300, 1e300, -2.5e-17, np.pi, 12.0,
                   np.nextafter(1.0, 2.0), 5e-324]
         for x in tricky:
-            assert float(ofio.format_float(x)) == x
+            assert float(ofio._numbers([x], "")) == x
 
     def test_rejects_non_finite(self):
         from ofpca import InvalidObject
         with pytest.raises(InvalidObject):
-            ofio.format_float(float("nan"))
+            ofio._numbers([float("nan")], "")
 
     def test_json_output_parses(self):
         doc = {"a": [1.5, 2, None], "b": {"c": "x"}, "flag": True, "empty": []}
@@ -489,6 +489,14 @@ class TestWriterMatchesReference:
         ]
         want = reference_mise_csv(rows, n_components=3)
         assert self._written(tmp_path, ofio.write_mise_csv, rows) == want
+
+    @pytest.mark.parametrize("obj, name", [({1, 2}, "set"), ({"a": [0.5, b"x"]}, "bytes")],
+                             ids=["set", "nested bytes"])
+    def test_unknown_type_is_named(self, obj, name):
+        from ofpca import InvalidObject
+
+        with pytest.raises(InvalidObject, match=f"^cannot serialize {name}$"):
+            ofio.dumps(obj)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, tmp_path, bad):

@@ -366,6 +366,15 @@ class TestMetricCorrelation:
         with pytest.raises(DegenerateVariance):
             metric_correlation(const, varying)
 
+    @pytest.mark.parametrize("n_u, n_v, error, message", [
+        (1, 1, TooFewTrajectories, "at least two objects"),
+        (3, 2, InvalidObject, "equal length"),
+    ], ids=["one pair", "unequal lengths"])
+    def test_rejects_unpaired_lists(self, n_u, n_v, error, message):
+        points = [ObjectPoint(scalar_space(), [v]) for v in (0.0, 1.0, 3.0)]
+        with pytest.raises(error, match=message):
+            metric_covariance(points[:n_u], points[:n_v])
+
     def test_cross_space_rejected(self):
         u = [ObjectPoint(scalar_space(), [v]) for v in (0.0, 1.0)]
         v = [ObjectPoint(quantile_space(2), [0.0, 1.0]) for _ in range(2)]
@@ -433,6 +442,16 @@ class TestSurfaceInvariants:
         with pytest.raises(InvalidSurface, match="not finite"):
             KernelSurface(grid, vals)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda grid: KernelSurface(grid, np.eye(grid.size + 1)[:-1]),
+         r"values must be \(3, 3\), got \(3, 4\)"),
+        (lambda grid: EigenSystem([1.0], [np.ones(grid.size + 1)], grid),
+         r"eigenfunctions must be \(1, 3\), got \(1, 4\)"),
+    ], ids=["KernelSurface", "EigenSystem"])
+    def test_rejects_wrong_shape(self, make, message):
+        with pytest.raises(InvalidSurface, match=message):
+            make(np.linspace(0, 1, 3))
+
     @pytest.mark.parametrize("scale", [1e3, 1e8])
     def test_symmetry_tolerance_is_relative(self, scale):
         # symmetric by construction, but the product rounds each triangle
@@ -447,6 +466,9 @@ class TestSurfaceInvariants:
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidObject):
             ObjectTrajectory(scalar_space(), np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)))
+        # NaN fails no order or range comparison, so only the finiteness check sees it
+        with pytest.raises(InvalidObject, match="non-finite"):
+            ObjectTrajectory(scalar_space(), np.array([0.0, np.nan]), np.zeros((2, 1)))
         with pytest.raises(InvalidObject):
             ObjectTrajectory(scalar_space(), np.array([0.0, 1.5]), np.zeros((2, 1)))
         # an eigensystem checks its grid before it derives weights from it

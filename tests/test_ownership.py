@@ -82,3 +82,14 @@ def test_anything_else_is_copied(name, kind):
         else:
             value[0] = -7.0
         assert np.array_equal(got, want[key]), key
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_identity_equality_and_hash(name):
+    # a container over arrays is equal only to itself and hashes by identity,
+    # so two equal builds compare unequal without asking an array for a truth value
+    build, arrays = CONTAINERS[name]
+    x, y = build(**arrays), build(**arrays)
+    assert x == x and not x != x
+    assert x != y and not x == y
+    assert len({x, y, x}) == 2

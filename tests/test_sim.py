@@ -87,6 +87,10 @@ class TestNetworkBasis:
         for j in (1, 2, 3):
             assert np.abs(network_sim_basis(j, ends)).max() == 0.0
 
+    def test_index_above_three_rejected(self):
+        with pytest.raises(InvalidObject, match="must be 1, 2 or 3, got 4"):
+            network_sim_basis(4, np.linspace(0, 1, 5))
+
     def test_unit_norm_on_fine_grid(self):
         grid = np.linspace(0, 1, 2001)
         for j in (1, 2, 3):

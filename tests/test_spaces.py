@@ -9,6 +9,7 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
+    SpaceKind,
     SpaceMismatch,
     adjacency_space,
     distance,
@@ -266,6 +267,18 @@ class TestValidation:
         block[2, 1, 2] = block[2, 1, 3] + 1e-9
         with pytest.raises(InvalidObject, match="non-decreasing"):
             validate_block(space, block)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SpaceKind("circle"), "unknown space tag 'circle'"),
+        (lambda: SpaceKind("scalar", 2), "scalar space has dim 1"),
+        (lambda: scalar_space().quantile_grid(), "quantile spaces only"),
+        (lambda: ObjectPoint(quantile_space(4), [0.0, 1.0, 2.0, 3.0]).matrix(),
+         "quantile objects are not matrices"),
+        (lambda: project_coordinates(quantile_space(2), [[0.0, np.nan]]), "non-finite"),
+    ], ids=["unknown tag", "scalar dim", "quantile grid", "matrix", "projection NaN"])
+    def test_rejects_outside_its_domain(self, call, message):
+        with pytest.raises(InvalidObject, match=message):
+            call()
 
     def test_data_is_frozen(self):
         p = ObjectPoint(scalar_space(), [1.0])
