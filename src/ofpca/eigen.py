@@ -39,12 +39,14 @@ class EigenSystem(_OnGrid):
     convention: its quadrature integral is nonnegative, and if that
     integral is numerically zero, the first entry exceeding 1e-9 in
     absolute value is positive.  ``quad_weights`` are the trapezoid
-    weights of ``time_grid``.  ``spectrum_total`` (keyword-only) is the
-    clipped sum of the whole spectrum; left out, it is that of the
-    retained eigenvalues, as for a truth with no other components.  A
-    read-only float64 ``eigenvalues``, ``eigenfunctions`` or ``time_grid``
-    is kept; anything else is held as a read-only copy, so later writes to
-    the caller's arrays do not reach the system.
+    weights of ``time_grid``.  ``eigenvalues`` is a non-empty vector.
+    ``spectrum_total`` (keyword-only) is the clipped sum of the whole
+    spectrum, finite and at least that of the retained eigenvalues, less
+    1e-12 relative for summation order; left out, it is the retained sum,
+    as for a truth with no other components.  A read-only float64
+    ``eigenvalues``, ``eigenfunctions`` or ``time_grid`` is kept; anything
+    else is held as a read-only copy, so later writes to the caller's
+    arrays do not reach the system.
     """
 
     eigenvalues: np.ndarray
@@ -57,6 +59,8 @@ class EigenSystem(_OnGrid):
         vals, funs, t = _freeze(self, eigenvalues=self.eigenvalues,
                                 eigenfunctions=self.eigenfunctions, time_grid=self.time_grid)
         _check_time_grid(t)
+        if vals.ndim != 1 or not vals.size:
+            raise InvalidSurface(f"eigenvalues must be a non-empty vector, got shape {vals.shape}")
         if funs.shape != (vals.size, t.size):
             raise InvalidSurface(
                 f"eigenfunctions must be ({vals.size}, {t.size}), got {funs.shape}"
@@ -66,8 +70,12 @@ class EigenSystem(_OnGrid):
         gram = (funs * self.quad_weights) @ funs.T
         if np.abs(gram - np.eye(vals.size)).max() > 1e-8:
             raise InvalidSurface("eigenfunctions are not quadrature-orthonormal")
+        retained = float(np.clip(vals, 0.0, None).sum())
         if self.spectrum_total is None:
-            object.__setattr__(self, "spectrum_total", float(np.clip(vals, 0.0, None).sum()))
+            object.__setattr__(self, "spectrum_total", retained)
+        elif not retained * (1.0 - 1e-12) <= self.spectrum_total < np.inf:
+            raise InvalidSurface(f"spectrum_total must be finite and at least {retained!r},"
+                                 f" got {self.spectrum_total!r}")
 
     @property
     def num_retained(self) -> int:

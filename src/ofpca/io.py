@@ -70,9 +70,7 @@ def _scalar(obj: Any) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, _NUMBER):
         return _numbers([obj], "")
     if isinstance(obj, str):
         return json.dumps(obj)

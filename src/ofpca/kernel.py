@@ -269,14 +269,15 @@ def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     """Metric correlation in [-1, 1]: covariance over the geometric mean
     of the two metric variances.
 
-    Raises DegenerateVariance if either margin has zero variance.  The
-    covariance and both variances are separate calls on one set of
-    coordinates, so the empirical Cauchy-Schwarz bound holds up to
-    round-off, which the clamp removes.
+    The pair is checked first, by :func:`metric_covariance`, so that a
+    constant margin cannot hide an input error; then DegenerateVariance is
+    raised if either margin has zero variance.  The covariance and both
+    variances are separate calls on one set of coordinates, so the
+    empirical Cauchy-Schwarz bound holds up to round-off, which the clamp
+    removes.
     """
-    var_u = metric_variance(u)
-    var_v = metric_variance(v)
+    cov, var_u, var_v = metric_covariance(u, v), metric_variance(u), metric_variance(v)
     if var_u <= 0.0 or var_v <= 0.0:
         raise DegenerateVariance("zero metric variance in a margin")
-    rho = metric_covariance(u, v) / np.sqrt(var_u * var_v)
+    rho = cov / np.sqrt(var_u * var_v)
     return float(np.clip(rho, -1.0, 1.0))

@@ -5,7 +5,9 @@ coordinate space so that squared distances are (weighted) squared
 Euclidean norms and weighted barycenters reduce to "average, then
 project onto the constraint set":
 
-- ``scalar``: the real line with the absolute-value metric.
+- ``scalar``: the real line with the absolute-value metric.  Its points
+  are point masses, whose quantile function is one number, so it is
+  ``quantile`` with m = 1, computed on that path; only the tag differs.
 - ``quantile``: univariate distributions represented by their quantile
   function sampled on the interior midpoint grid u_k = (k - 0.5)/m.
   The metric is the discrete 2-Wasserstein distance, i.e. the
@@ -88,11 +90,7 @@ class SpaceKind:
     @property
     def data_len(self) -> int:
         """Length of the coordinate vector of one object."""
-        if self.tag == "scalar":
-            return 1
-        if self.tag == "quantile":
-            return self.dim
-        return self.dim * self.dim
+        return self.dim * self.dim if self.is_matrix else self.dim
 
     @property
     def is_matrix(self) -> bool:
@@ -101,9 +99,7 @@ class SpaceKind:
     @property
     def coord_scale(self) -> float:
         """Scale c such that d^2(x, y) = ||c (x - y)||^2 in coordinates."""
-        if self.tag == "quantile":
-            return 1.0 / np.sqrt(self.dim)
-        return 1.0
+        return 1.0 if self.is_matrix else 1.0 / np.sqrt(self.dim)
 
     def metric_coordinates(self) -> tuple[slice | np.ndarray, np.ndarray]:
         """Coordinates ``keep`` and weights ``w`` with d^2(x, y) =
@@ -175,10 +171,7 @@ def validate_block(space: SpaceKind, block: np.ndarray) -> np.ndarray:
     if not finite:
         raise InvalidObject("data contains non-finite values")
 
-    if space.tag == "scalar":
-        return block
-
-    if space.tag == "quantile":
+    if not space.is_matrix:
         if not np.any(block[..., 1:] < block[..., :-1]):
             return block
         if (block[..., :-1] - block[..., 1:]).max() > ADMISSION_TOL:
@@ -316,9 +309,7 @@ def project_coordinates(space: SpaceKind, raw: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(raw)):
         raise InvalidObject("raw data contains non-finite values")
 
-    if space.tag == "scalar":
-        return raw.copy()
-    if space.tag == "quantile":
+    if not space.is_matrix:
         out = raw.copy()
         rows = out.reshape(-1, space.dim)
         for i in np.flatnonzero(np.any(rows[:, 1:] < rows[:, :-1], axis=1)):

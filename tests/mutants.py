@@ -11,13 +11,16 @@ For each row of ``MUTANTS`` it copies the files the suite reads (``src``,
 to a temporary directory, replaces the row's old text with its new text
 there (the checkout is never edited), and runs ``python -m pytest -x -q``
 in the copy, without the host-pinned digest test, so that a mutant only
-that test would catch is not counted as killed.  A failing run kills the
+that test would catch is not counted as killed, and without
+``test_mutant_rows.py``, which every mutant would fail by removing its
+own old text.  A failing run kills the
 mutant; the first failing test is printed.  For a survivor it runs the
 copy's ``tests/output_digests.py`` and compares with the checkout's: a
 survivor whose output bytes change is a test gap, one whose bytes stay
 the same is dead code.  A row whose
-old text is not in its file exactly once is reported as stale.  This is
-a script, not a test: a survivor takes as long as the whole suite.
+old text is not in its file exactly once is reported as stale; the
+tier-1 ``test_mutant_rows.py`` checks that of every row in milliseconds.
+This is a script, not a test: a survivor takes as long as the whole suite.
 """
 
 import os
@@ -30,7 +33,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "perfbench", "pytest.ini", "BENCHMARK.json")
-DIGEST_TEST = "tests/test_output_digests.py::test_outputs_match_the_pinned_digests"
+DESELECTED = ("tests/test_output_digests.py::test_outputs_match_the_pinned_digests",
+              "tests/test_mutant_rows.py")
 
 #: (name, file, old text, new text)
 MUTANTS = [
@@ -140,6 +144,27 @@ MUTANTS = [
      'raise InvalidObject(f"cannot serialize {type(obj).__name__}")', "return str(obj)"),
     ("empty-first-trajectory", "src/ofpca/io.py",
      "if first.size", "if True"),
+    ("scalar-family", "src/ofpca/spaces.py",
+     "if not space.is_matrix:\n        out = raw.copy()\n",
+     'if space.tag == "quantile":\n        out = raw.copy()\n'),
+    ("eigenvalue-vector", "src/ofpca/eigen.py",
+     "if vals.ndim != 1 or not vals.size:", "if not vals.size:"),
+    ("eigenvalue-count", "src/ofpca/eigen.py",
+     "if vals.ndim != 1 or not vals.size:", "if vals.ndim != 1:"),
+    ("spectrum-total-floor", "src/ofpca/eigen.py",
+     "retained * (1.0 - 1e-12) <= self.spectrum_total", "-np.inf <= self.spectrum_total"),
+    ("spectrum-total-finite", "src/ofpca/eigen.py",
+     "<= self.spectrum_total < np.inf:", "<= self.spectrum_total <= np.inf:"),
+    ("spectrum-total-slack", "src/ofpca/eigen.py",
+     "retained * (1.0 - 1e-12) <=", "retained <="),
+    ("correlation-pair-first", "src/ofpca/kernel.py",
+     "    cov, var_u, var_v = metric_covariance(u, v), metric_variance(u), metric_variance(v)\n"
+     "    if var_u <= 0.0 or var_v <= 0.0:\n"
+     '        raise DegenerateVariance("zero metric variance in a margin")\n',
+     "    var_u, var_v = metric_variance(u), metric_variance(v)\n"
+     "    if var_u <= 0.0 or var_v <= 0.0:\n"
+     '        raise DegenerateVariance("zero metric variance in a margin")\n'
+     "    cov = metric_covariance(u, v)\n"),
 ]
 
 
@@ -174,8 +199,9 @@ def run_mutant(path, old, new, want_digests) -> str:
             return "stale: old text not found exactly once"
         target.write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        deselect = [arg for test in DESELECTED for arg in ("--deselect", test)]
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                               "no:cacheprovider", "--deselect", DIGEST_TEST], cwd=root,
+                               "no:cacheprovider", *deselect], cwd=root,
                               env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             return f"killed by {first_failure(proc.stdout)}"

@@ -1,4 +1,4 @@
-"""Print the sha256 of 49 command outputs, to check that a change keeps
+"""Print the sha256 of 53 command outputs, to check that a change keeps
 every output byte.
 
 Run from the root of each checkout and compare:
@@ -12,7 +12,8 @@ directory and prints one ``sha256  relative-path`` line per file written:
 ``fit --components 3`` (net) of those samples; ``fit --explained-fraction
 0.5|0.9|0.99|1.0`` of each sample; ``scores`` of each sample;
 ``export-plots`` of the dist fit; ``mise --design net --n 100 --runs 10
---seed 5``; and ``mise --design dist --n 25,50 --runs 3``.
+--seed 5``; ``mise --design dist --n 25,50 --runs 3``; and ``fit`` of
+``tests/data/scalar_fixture.json``.
 
 Another Python, numpy or BLAS build, or another CPU, may give other
 bytes, so the digests are pinned together with the environment they were
@@ -39,7 +40,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from ofpca.cli import main  # noqa: E402
 
 FRACTIONS = ("0.5", "0.9", "0.99", "1.0")
-PINNED = pathlib.Path(__file__).resolve().parent / "data" / "output_digests.txt"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+PINNED = DATA / "output_digests.txt"
 
 
 def fingerprint() -> list[str]:
@@ -75,6 +77,7 @@ def commands():
     yield ["mise", "--design", "net", "--n", "100", "--runs", "10", "--seed", "5",
            "--out", "mise-net.csv"]
     yield ["mise", "--design", "dist", "--n", "25,50", "--runs", "3", "--out", "mise-dist.csv"]
+    yield ["fit", str(DATA / "scalar_fixture.json"), "--out", "fit-scalar"]
 
 
 def digests(root: pathlib.Path) -> list[str]:

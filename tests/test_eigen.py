@@ -231,6 +231,22 @@ class TestExplainedFraction:
         assert es.spectrum_total == 1.0
         assert es.explained_fractions.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("total", [0.5, np.nan, np.inf, -1.0])
+    def test_rejects_a_total_below_the_retained_or_not_finite(self, total):
+        with pytest.raises(InvalidSurface, match="spectrum_total"):
+            EigenSystem([2.0], [[1.0, 1.0, 1.0]], [0.0, 0.5, 1.0], spectrum_total=total)
+
+    def test_whole_spectrum_may_round_below_the_retained_sum(self):
+        # summed in another order, the nine clipped eigenvalues come to 3.0
+        # and the first four to 3.0000000000000004, which the check admits
+        full = np.array([0.9, 0.8, 0.7, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0])
+        total = float(np.clip(full, 0.0, None).sum())
+        assert total < float(np.clip(full[:4], 0.0, None).sum())
+        grid = np.linspace(0, 1, 9)
+        funs = quadrature_orthonormalize(np.random.default_rng(3).normal(size=(4, 9)),
+                                         trapezoid_weights(grid))
+        assert EigenSystem(full[:4], funs, grid, spectrum_total=total).spectrum_total == total
+
     def test_degenerate_spectrum(self):
         # no share of a zero spectrum: every fraction reads zero
         grid = np.linspace(0, 1, 11)

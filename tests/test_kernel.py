@@ -366,6 +366,17 @@ class TestMetricCorrelation:
         with pytest.raises(DegenerateVariance):
             metric_correlation(const, varying)
 
+    @pytest.mark.parametrize("space, count, error", [
+        (quantile_space(1), 3, SpaceMismatch),
+        (scalar_space(), 2, InvalidObject),
+    ], ids=["other space", "unequal lengths"])
+    def test_pair_is_checked_before_the_margins(self, space, count, error):
+        # a constant margin would raise DegenerateVariance, which hides the input error
+        const = [ObjectPoint(scalar_space(), [1.0]) for _ in range(3)]
+        varying = [ObjectPoint(space, [float(v)]) for v in range(count)]
+        with pytest.raises(error):
+            metric_correlation(const, varying)
+
     @pytest.mark.parametrize("n_u, n_v, error, message", [
         (1, 1, TooFewTrajectories, "at least two objects"),
         (3, 2, InvalidObject, "equal length"),
@@ -447,7 +458,11 @@ class TestSurfaceInvariants:
          r"values must be \(3, 3\), got \(3, 4\)"),
         (lambda grid: EigenSystem([1.0], [np.ones(grid.size + 1)], grid),
          r"eigenfunctions must be \(1, 3\), got \(1, 4\)"),
-    ], ids=["KernelSurface", "EigenSystem"])
+        (lambda grid: EigenSystem(np.ones((1, 1)), [np.ones(grid.size)], grid),
+         r"eigenvalues must be a non-empty vector, got shape \(1, 1\)"),
+        (lambda grid: EigenSystem(np.empty(0), np.empty((0, grid.size)), grid),
+         r"eigenvalues must be a non-empty vector, got shape \(0,\)"),
+    ], ids=["KernelSurface", "EigenSystem", "2-d eigenvalues", "no eigenvalues"])
     def test_rejects_wrong_shape(self, make, message):
         with pytest.raises(InvalidSurface, match=message):
             make(np.linspace(0, 1, 3))

@@ -13,6 +13,7 @@ from ofpca import (
     SpaceMismatch,
     adjacency_space,
     distance,
+    fit_fpca,
     isotonic_projection,
     object_fpc,
     quantile_space,
@@ -358,3 +359,34 @@ class TestBarycenter:
         traj = ObjectTrajectory(space, grid, grid[:, None])
         with pytest.raises(BadWeights):
             object_fpc(traj, np.ones(4))
+
+
+class TestScalarIsTheOnePointQuantile:
+    """The real line is the quantile space of point masses: a scalar space
+    computes every number exactly as ``quantile_space(1)``."""
+
+    def test_same_bytes_as_quantile_one(self):
+        grid = np.linspace(0.0, 1.0, 21)
+        values = np.random.default_rng(29).normal(-2.0, 5.0, size=(30, grid.size, 1))
+        scalar, one = scalar_space(), quantile_space(1)
+        assert scalar != one
+        fits = [fit_fpca(ObjectSample(space, grid, values), n_components=3)
+                for space in (scalar, one)]
+        for fit in fits:
+            comps = fit.object_components
+            assert all(c is not None for c in comps) and min(c.min() for c in comps) < 0.0
+        got, want = ([fit.surface.values, fit.eigen.eigenvalues, fit.eigen.eigenfunctions,
+                      fit.mean.values, fit.distance_curves, fit.scores,
+                      *fit.object_components] for fit in fits)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+        raw = values[:4] - values[4:8]
+        for call in (validate_block, project_coordinates):
+            assert call(scalar, raw).tobytes() == call(one, raw).tobytes()
+        a, b = raw[0, 0], raw[1, 0]
+        assert (squared_distance(ObjectPoint(scalar, a), ObjectPoint(scalar, b))
+                == squared_distance(ObjectPoint(one, a), ObjectPoint(one, b)))
+        raw[2, 3, 0] = np.nan
+        for space in (scalar, one):
+            with pytest.raises(InvalidObject, match="^data contains non-finite values$"):
+                validate_block(space, raw)
