@@ -19,7 +19,7 @@ shapes = np.stack([np.sin(np.pi * grid), np.cos(2 * np.pi * grid)])
 loadings = rng.normal(size=(n, 2)) * np.array([1.5, 0.7])
 X = loadings @ shapes + 0.1 * rng.normal(size=(n, T))
 
-space = of.scalar_space()
+space = of.SpaceKind("scalar", 1)
 sample = of.ObjectSample(space, grid, X[..., None])
 
 # 1. covariance surface == classical unbiased cross-covariance

@@ -54,13 +54,9 @@ from .sim import (
 from .spaces import (
     ObjectPoint,
     SpaceKind,
-    adjacency_space,
     distance,
     isotonic_projection,
-    quantile_space,
-    scalar_space,
     squared_distance,
-    sympsd_space,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "SpaceKind",
     "SpaceMismatch",
     "TooFewTrajectories",
-    "adjacency_space",
     "distance",
     "distance_curves",
     "distribution_sim_basis",
@@ -104,11 +99,8 @@ __all__ = [
     "network_sim_basis",
     "normalize_eigenfunction",
     "object_fpc",
-    "quantile_space",
-    "scalar_space",
     "simulate",
     "squared_distance",
-    "sympsd_space",
     "trapezoid_weights",
     "true_eigensystem",
 ]

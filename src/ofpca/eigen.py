@@ -39,7 +39,8 @@ class EigenSystem(_OnGrid):
     convention: its quadrature integral is nonnegative, and if that
     integral is numerically zero, the first entry exceeding 1e-9 in
     absolute value is positive.  ``quad_weights`` are the trapezoid
-    weights of ``time_grid``.  ``eigenvalues`` is a non-empty vector.
+    weights of ``time_grid``.  ``eigenvalues`` is a non-empty vector; it and
+    ``eigenfunctions`` are finite.
     ``spectrum_total`` (keyword-only) is the clipped sum of the whole
     spectrum, finite and at least that of the retained eigenvalues, less
     1e-12 relative for summation order; left out, it is the retained sum,
@@ -65,6 +66,8 @@ class EigenSystem(_OnGrid):
             raise InvalidSurface(
                 f"eigenfunctions must be ({vals.size}, {t.size}), got {funs.shape}"
             )
+        if not (np.isfinite(vals).all() and np.isfinite(funs).all()):
+            raise InvalidSurface("eigenvalues and eigenfunctions must be finite")
         if np.any(np.diff(vals) > 1e-12):
             raise InvalidSurface("eigenvalues must be in descending order")
         gram = (funs * self.quad_weights) @ funs.T
@@ -131,7 +134,7 @@ def eigendecompose(surface: KernelSurface, k: int) -> EigenSystem:
     BadRank
         If k is not an integer in [1, T].
     """
-    T = surface.n_times
+    T = surface.time_grid.size
     if _count(k, "k", 1, BadRank) > T:
         raise BadRank(f"k must be in [1, {T}], got {k}")
 

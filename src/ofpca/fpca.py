@@ -31,7 +31,7 @@ from .kernel import (
     _trapezoid,
     estimate_cov_surface,
 )
-from .spaces import ObjectPoint, _freeze, _own, project_coordinates
+from .spaces import ObjectPoint, _count, _freeze, _own, project_coordinates
 
 #: Minimum absolute eigenfunction integral for object components; below
 #: this the normalized direction is numerically undefined.
@@ -87,7 +87,7 @@ def _frechet_integrals(space, values, quad_weights, phi_star) -> np.ndarray:
         raise BadWeights(f"phi_star must have shape ({T},), got {phi_star.shape}")
     weights = quad_weights * phi_star
     total = weights.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:  # a NaN total fails it too
         raise BadWeights(f"phi_star integrates to {total!r}, expected 1")
     return project_coordinates(space, weights @ values)
 
@@ -201,9 +201,12 @@ def fit_fpca(
     fraction reaches it.  Both cuts come before object components are
     computed.  Components whose eigenfunction integrates to numerically
     zero are skipped for object components (with a warning) but keep
-    their score column.  An ``explained_fraction`` outside
-    (0, 1] raises ``BadRank``.
+    their score column.  An ``n_components`` outside [1, T] or an
+    ``explained_fraction`` outside (0, 1] raises ``BadRank``.
     """
+    T = sample.time_grid.size
+    if _count(n_components, "n_components", 1, BadRank) > T:
+        raise BadRank(f"n_components must be in [1, {T}], got {n_components}")
     if explained_fraction is not None and (isinstance(explained_fraction, (bool, np.bool_))
                                            or not 0.0 < explained_fraction <= 1.0):
         raise BadRank(f"explained fraction must be in (0, 1], got {explained_fraction}")

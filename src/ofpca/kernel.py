@@ -132,10 +132,6 @@ class ObjectTrajectory:
     def __post_init__(self):
         _admit(self, "values", 2)
 
-    @property
-    def n_times(self) -> int:
-        return self.time_grid.size
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectSample:
@@ -195,10 +191,6 @@ class KernelSurface(_OnGrid):
         if np.abs(vals - vals.T).max() > 1e-12 * np.abs(vals).max():
             raise InvalidSurface("surface is not symmetric")
         _freeze(self, time_grid=t, values=vals)
-
-    @property
-    def n_times(self) -> int:
-        return self.time_grid.size
 
 
 def estimate_cov_surface(sample: ObjectSample) -> KernelSurface:
@@ -267,7 +259,8 @@ def metric_covariance(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
 
 def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     """Metric correlation in [-1, 1]: covariance over the geometric mean
-    of the two metric variances.
+    of the two metric variances, taken without their product, which
+    overflows or underflows for data scaled by 1e+-100.
 
     The pair is checked first, by :func:`metric_covariance`, so that a
     constant margin cannot hide an input error; then DegenerateVariance is
@@ -279,5 +272,5 @@ def metric_correlation(u: list[ObjectPoint], v: list[ObjectPoint]) -> float:
     cov, var_u, var_v = metric_covariance(u, v), metric_variance(u), metric_variance(v)
     if var_u <= 0.0 or var_v <= 0.0:
         raise DegenerateVariance("zero metric variance in a margin")
-    rho = cov / np.sqrt(var_u * var_v)
+    rho = (cov / var_u) * np.sqrt(var_u / var_v)
     return float(np.clip(rho, -1.0, 1.0))

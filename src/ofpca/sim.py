@@ -31,7 +31,7 @@ from .errors import BadRank, InvalidObject
 from .eigen import EigenSystem, eigendecompose
 from .fpca import _numerical_rank
 from .kernel import KernelSurface, ObjectSample, estimate_cov_surface
-from .spaces import _count, adjacency_space, quantile_space
+from .spaces import SpaceKind, _count
 
 NETWORK_NODES = 10
 NETWORK_COMMUNITY = 5  # first five nodes vs last five
@@ -133,7 +133,7 @@ def distribution_curve_params(u, v, w, z, time_grid) -> tuple[np.ndarray, np.nda
 def quantile_probes(m: int) -> np.ndarray:
     """Standard normal quantiles at the midpoint grid u_k = (k - 0.5)/m."""
     inv_cdf = NormalDist().inv_cdf
-    return np.array([inv_cdf(u) for u in quantile_space(m).quantile_grid()])
+    return np.array([inv_cdf(u) for u in SpaceKind("quantile", m).quantile_grid()])
 
 
 def _distribution_values(mu, sigma, probes) -> np.ndarray:
@@ -208,7 +208,7 @@ class DistributionSimConfig(_SimConfig):
     seed: int = 0
     _FACTORS = (("normal", np.sqrt(12.0)), ("normal", 1.0),
                 ("uniform", np.sqrt(72.0)), ("uniform", 3.0))
-    space = property(lambda self: quantile_space(self.m))
+    space = property(lambda self: SpaceKind("quantile", self.m))
 
     def _values(self, draws, grid) -> np.ndarray:
         mu, sigma = distribution_curve_params(*draws, grid)
@@ -238,7 +238,7 @@ class NetworkSimConfig(_SimConfig):
     n_times: int = 51
     seed: int = 0
     _FACTORS = (("uniform", 0.4), ("uniform", 0.1), ("uniform", 0.3), ("uniform", 0.1))
-    space = adjacency_space(NETWORK_NODES)
+    space = SpaceKind("adjacency", NETWORK_NODES)
 
     def _values(self, draws, grid) -> np.ndarray:
         return _network_values(*network_curve_params(*draws, grid))

@@ -1,9 +1,9 @@
 """Metric spaces for object-valued data.
 
-Four concrete spaces are provided, each a convex subset of a Euclidean
-coordinate space so that squared distances are (weighted) squared
-Euclidean norms and weighted barycenters reduce to "average, then
-project onto the constraint set":
+Four concrete spaces are provided, each built as ``SpaceKind(tag, dim)``
+and each a convex subset of a Euclidean coordinate space, so that squared
+distances are (weighted) squared Euclidean norms and weighted barycenters
+reduce to "average, then project onto the constraint set":
 
 - ``scalar``: the real line with the absolute-value metric.  Its points
   are point masses, whose quantile function is one number, so it is
@@ -75,10 +75,11 @@ class SpaceKind:
         One of ``"scalar"``, ``"quantile"``, ``"adjacency"``, ``"sympsd"``.
     dim : int
         Quantile grid size m, or matrix side r; must be 1 for scalars.
+        Required: no tag has a default size.
     """
 
     tag: str
-    dim: int = 1
+    dim: int
 
     def __post_init__(self):
         if self.tag not in SPACE_TAGS:
@@ -126,22 +127,6 @@ def _metric_coordinates(space: SpaceKind) -> tuple[slice | np.ndarray, np.ndarra
         keep.flags.writeable = False
     w.flags.writeable = False
     return keep, w
-
-
-def scalar_space() -> SpaceKind:
-    return SpaceKind("scalar", 1)
-
-
-def quantile_space(m: int) -> SpaceKind:
-    return SpaceKind("quantile", m)
-
-
-def adjacency_space(r: int) -> SpaceKind:
-    return SpaceKind("adjacency", r)
-
-
-def sympsd_space(r: int) -> SpaceKind:
-    return SpaceKind("sympsd", r)
 
 
 def _as_matrices(space: SpaceKind, block: np.ndarray) -> np.ndarray:

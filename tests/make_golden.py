@@ -17,7 +17,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from oracles import classical_scalar_fpca  # noqa: E402
 
-from ofpca import ObjectSample, scalar_space  # noqa: E402
+from ofpca import ObjectSample, SpaceKind  # noqa: E402
 from ofpca import io as ofio  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -42,7 +42,7 @@ def main(data=DATA):
     """Write the fixture and its golden scores into the directory ``data``."""
     data.mkdir(exist_ok=True)
     grid, X = build_fixture()
-    sample = ObjectSample(scalar_space(), grid, X[..., None])
+    sample = ObjectSample(SpaceKind("scalar", 1), grid, X[..., None])
     ofio.save_trajectory_file(sample, data / "scalar_fixture.json")
 
     _, _, _, _, scores = classical_scalar_fpca(X, grid, k=K)

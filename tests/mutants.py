@@ -39,7 +39,9 @@ DESELECTED = ("tests/test_output_digests.py::test_outputs_match_the_pinned_diges
 #: (name, file, old text, new text)
 MUTANTS = [
     ("frechet-weight-tol", "src/ofpca/fpca.py",
-     "if abs(total - 1.0) > 1e-8:", "if abs(total - 1.0) > 1e-2:"),
+     "if not abs(total - 1.0) <= 1e-8:", "if not abs(total - 1.0) <= 1e-2:"),
+    ("frechet-weight-nan", "src/ofpca/fpca.py",
+     "if not abs(total - 1.0) <= 1e-8:", "if abs(total - 1.0) > 1e-8:"),
     ("surface-symmetry-tol", "src/ofpca/kernel.py",
      "> 1e-12 * np.abs(vals).max()", "> 1e-6 * np.abs(vals).max()"),
     ("min-eigenfunction-integral", "src/ofpca/fpca.py",
@@ -165,6 +167,13 @@ MUTANTS = [
      "    if var_u <= 0.0 or var_v <= 0.0:\n"
      '        raise DegenerateVariance("zero metric variance in a margin")\n'
      "    cov = metric_covariance(u, v)\n"),
+    ("eigen-finite", "src/ofpca/eigen.py",
+     "if not (np.isfinite(vals).all() and np.isfinite(funs).all()):", "if False:"),
+    ("correlation-variance-product", "src/ofpca/kernel.py",
+     "rho = (cov / var_u) * np.sqrt(var_u / var_v)", "rho = cov / np.sqrt(var_u * var_v)"),
+    ("fit-components-bound", "src/ofpca/fpca.py",
+     'if _count(n_components, "n_components", 1, BadRank) > T:',
+     'if _count(n_components, "n_components", 1, BadRank) > T + 1000:'),
 ]
 
 

@@ -28,8 +28,7 @@ from ofpca import (
     NetworkSimConfig,
     ObjectPoint,
     ObjectTrajectory,
-    adjacency_space,
-    quantile_space,
+    SpaceKind,
     trapezoid_weights,
     true_eigensystem,
 )
@@ -114,7 +113,7 @@ def pair_kernel(x: ObjectTrajectory, y: ObjectTrajectory, s_idx: int, t_idx: int
     """
     if x.space != y.space:
         raise SpaceMismatch("pair kernel needs trajectories in one space")
-    T = x.n_times
+    T = x.time_grid.size
     if not (0 <= s_idx < T and 0 <= t_idx < T):
         raise IndexError(f"grid indices ({s_idx}, {t_idx}) out of range for T={T}")
     scale = x.space.coord_scale
@@ -290,7 +289,7 @@ def distribution_trajectory(u, v, w, z, time_grid, m: int) -> ObjectTrajectory:
     Gaussian quantiles sigma(t) * probes + mu(t)."""
     mu, sigma = distribution_curve_params(u, v, w, z, time_grid)
     values = sigma[:, None] * quantile_probes(m) + mu[:, None]
-    return ObjectTrajectory(quantile_space(m), np.asarray(time_grid, float), values)
+    return ObjectTrajectory(SpaceKind("quantile", m), np.asarray(time_grid, float), values)
 
 
 def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
@@ -304,7 +303,7 @@ def network_trajectory(u, v, w, z, time_grid) -> ObjectTrajectory:
     mats[:, c:, c:] = p2[:, None, None]
     idx = np.arange(NETWORK_NODES)
     mats[:, idx, idx] = 0.0
-    return ObjectTrajectory(adjacency_space(NETWORK_NODES), np.asarray(time_grid, float),
+    return ObjectTrajectory(SpaceKind("adjacency", NETWORK_NODES), np.asarray(time_grid, float),
                             mats.reshape(p1.size, -1))
 
 

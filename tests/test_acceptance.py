@@ -23,16 +23,14 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
+    SpaceKind,
     eigendecompose,
     estimate_cov_surface,
     frechet_scores,
     isotonic_projection,
     mise_report,
     object_fpc,
-    quantile_space,
-    scalar_space,
     simulate,
-    sympsd_space,
     trapezoid_weights,
 )
 from ofpca.cli import main as cli_main
@@ -65,7 +63,7 @@ def detail(capsys, text):
 def scalar_sample(X, grid=None):
     if grid is None:
         grid = np.linspace(0.0, 1.0, X.shape[1])
-    return ObjectSample(scalar_space(), grid, X[..., None])
+    return ObjectSample(SpaceKind("scalar", 1), grid, X[..., None])
 
 
 def test_criterion_1_scalar_oracle_equivalence(capsys):
@@ -159,17 +157,17 @@ def test_criterion_5_frechet_integral_exactness(capsys):
     # scalar: closed form vs dense lattice
     grid = np.linspace(0, 1, 17)
     w = trapezoid_weights(grid)
-    traj = ObjectTrajectory(scalar_space(), grid, np.cos(np.pi * grid)[:, None])
+    traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.cos(np.pi * grid)[:, None])
     phi_star = 2.0 * grid
     closed = object_fpc(traj, phi_star)
     step = 1e-4
-    lattice = [ObjectPoint(scalar_space(), [v]) for v in np.arange(-1.5, 1.5, step)]
+    lattice = [ObjectPoint(SpaceKind("scalar", 1), [v]) for v in np.arange(-1.5, 1.5, step)]
     searched = riemann_sum_minimizer(traj, phi_star, lattice, w)
     ok &= abs(closed.data[0] - searched.data[0]) <= step + 1e-12
 
     # tiny quantile space: closed form vs monotone lattice
     rng = np.random.default_rng(7)
-    space = quantile_space(2)
+    space = SpaceKind("quantile", 2)
     vals = np.sort(rng.uniform(0, 1, size=(9, 2)), axis=1)
     qtraj = ObjectTrajectory(space, np.linspace(0, 1, 9), vals)
     qw = trapezoid_weights(qtraj.time_grid)
@@ -186,13 +184,13 @@ def test_criterion_5_frechet_integral_exactness(capsys):
     from scipy.integrate import quad
     target, _ = quad(lambda t: curve(t) * 2.0 * t, 0, 1, limit=200)
     fine_step = 5e-5
-    fine_lattice = [ObjectPoint(scalar_space(), [v])
+    fine_lattice = [ObjectPoint(SpaceKind("scalar", 1), [v])
                     for v in np.arange(-1.0, 1.0 + fine_step, fine_step)]
 
     def minimizer_error(T):
         g = np.linspace(0, 1, T)
         tw = trapezoid_weights(g)
-        tr = ObjectTrajectory(scalar_space(), g, curve(g)[:, None])
+        tr = ObjectTrajectory(SpaceKind("scalar", 1), g, curve(g)[:, None])
         out = riemann_sum_minimizer(tr, 2.0 * g, fine_lattice, tw)
         return abs(out.data[0] - target)
 
@@ -247,7 +245,7 @@ def test_criterion_6_projection_suite(capsys):
     projected = 0.5 * (projected + np.swapaxes(projected, 1, 2))
     min_eigs = np.linalg.eigvalsh(projected)[:, 0]
     failures += int(np.sum(min_eigs < -1e-10))
-    space = sympsd_space(r)
+    space = SpaceKind("sympsd", r)
     recheck = rng.integers(0, 10_000, size=500)
     for idx in recheck:
         flat = projected[idx].reshape(-1)
@@ -315,7 +313,7 @@ def test_criterion_8_score_fixture(capsys):
 
     mu = np.sin(np.pi * grid)
     sample = scalar_sample(np.stack([mu + phi1, mu, mu - phi1]), grid)
-    mean_traj = ObjectTrajectory(scalar_space(), grid, mu[:, None])
+    mean_traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, mu[:, None])
     scores = frechet_scores(sample, mean_traj, es)
     fixture_ok = (abs(scores[0, 0] - 1.0) <= 1e-4
                   and np.abs(scores[0, 1:]).max() <= 1e-4)

@@ -543,7 +543,7 @@ class TestBlasThreads:
                 assert one == two, (design, name)
         # no design simulates sympsd curves, whose surface keeps the
         # triangle with its diagonal: fit a file three blocks long
-        space, T = ofpca.sympsd_space(4), 21
+        space, T = ofpca.SpaceKind("sympsd", 4), 21
         n = 2 * (_BLOCK_FLOATS // (T * 10)) + 1
         a = np.random.default_rng(3).normal(size=(n, T, 4, 4))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(n, T, 16)

@@ -23,7 +23,6 @@ from ofpca import (
     jacobi_polynomial,
     mise_report,
     network_sim_basis,
-    scalar_space,
 )
 from ofpca.cli import main
 
@@ -31,7 +30,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 SMALL_DESIGN = DistributionSimConfig(n=4, n_times=9, m=8)
 SURFACE = KernelSurface(np.linspace(0.0, 1.0, 5), np.eye(5))
 EIGEN = eigendecompose(SURFACE, k=3)
-SAMPLE = ObjectSample(scalar_space(), np.linspace(0.0, 1.0, 6),
+SAMPLE = ObjectSample(SpaceKind("scalar", 1), np.linspace(0.0, 1.0, 6),
                       np.random.default_rng(3).normal(size=(5, 6, 1)))
 
 # (parameter, the name its error gives, least value, error class, call with it)
@@ -53,7 +52,7 @@ COUNTS = [
     ("mise_report.n_components", "n_components", 1, BadRank,
      lambda v: mise_report(SMALL_DESIGN, runs=1, n_components=v)),
     ("eigendecompose.k", "k", 1, BadRank, lambda v: eigendecompose(SURFACE, k=v)),
-    ("fit_fpca.n_components", "k", 1, BadRank, lambda v: fit_fpca(SAMPLE, n_components=v)),
+    ("fit_fpca.n_components", "n_components", 1, BadRank, lambda v: fit_fpca(SAMPLE, n_components=v)),
     ("EigenSystem.integral", "component", 1, BadRank, lambda v: EIGEN.integral(v)),
 ]
 
@@ -89,7 +88,9 @@ CLI_COUNTS = [
     (["mise", "--design", "net", "--n", "5", "--runs", "1", "--components", "0"],
      "n_components must be an integer >= 1, got 0"),
     (["fit", DATA / "scalar_fixture.json", "--components", "0"],
-     "k must be an integer >= 1, got 0"),
+     "n_components must be an integer >= 1, got 0"),
+    (["fit", DATA / "scalar_fixture.json", "--components", "99"],
+     "n_components must be in [1, 12], got 99"),
 ]
 
 

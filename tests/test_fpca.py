@@ -16,6 +16,7 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
+    SpaceKind,
     SpaceMismatch,
     distance_curves,
     fit_fpca,
@@ -23,11 +24,8 @@ from ofpca import (
     frechet_scores,
     normalize_eigenfunction,
     object_fpc,
-    quantile_space,
-    scalar_space,
     simulate,
     squared_distance,
-    sympsd_space,
     trapezoid_weights,
 )
 from ofpca.fpca import _fraction_count, _numerical_rank
@@ -43,7 +41,7 @@ from oracles import (
 def scalar_sample(X, grid=None):
     if grid is None:
         grid = np.linspace(0.0, 1.0, X.shape[1])
-    return ObjectSample(scalar_space(), grid, X[..., None])
+    return ObjectSample(SpaceKind("scalar", 1), grid, X[..., None])
 
 
 def constant_and_cosine(grid):
@@ -71,7 +69,7 @@ class TestMeanTrajectory:
     def test_identical_trajectories(self):
         grid = np.linspace(0, 1, 6)
         vals = np.sort(np.random.default_rng(0).normal(size=(6, 3)), axis=1)
-        sample = ObjectSample(quantile_space(3), grid, np.stack([vals] * 3))
+        sample = ObjectSample(SpaceKind("quantile", 3), grid, np.stack([vals] * 3))
         mean = frechet_mean_trajectory(sample)
         assert np.abs(mean.values - vals).max() <= 1e-15
 
@@ -85,7 +83,7 @@ class TestMeanTrajectory:
     def test_quantile_mean_is_pointwise_average(self):
         rng = np.random.default_rng(1)
         grid = np.linspace(0, 1, 5)
-        space = quantile_space(4)
+        space = SpaceKind("quantile", 4)
         vals = np.sort(rng.normal(size=(7, 5, 4)), axis=2)
         sample = ObjectSample(space, grid, vals)
         mean = frechet_mean_trajectory(sample)
@@ -94,7 +92,7 @@ class TestMeanTrajectory:
     def test_slice_optimality_against_perturbations(self):
         rng = np.random.default_rng(2)
         grid = np.linspace(0, 1, 4)
-        space = quantile_space(3)
+        space = SpaceKind("quantile", 3)
         vals = np.sort(rng.normal(size=(6, 4, 3)), axis=2)
         sample = ObjectSample(space, grid, vals)
         mean = frechet_mean_trajectory(sample)
@@ -181,7 +179,7 @@ class TestNormalize:
 class TestObjectFpc:
     def test_constant_trajectory_returns_the_constant(self):
         grid = np.linspace(0, 1, 21)
-        space = quantile_space(3)
+        space = SpaceKind("quantile", 3)
         point = np.array([0.0, 0.5, 2.0])
         traj = ObjectTrajectory(space, grid, np.tile(point, (21, 1)))
         phi_star = 2.0 * grid  # integrates to 1, signed weights after w*phi
@@ -191,15 +189,22 @@ class TestObjectFpc:
     def test_constant_weight_gives_time_average(self):
         grid = np.linspace(0, 1, 31)
         vals = np.linspace(-1, 3, 31)[:, None]
-        traj = ObjectTrajectory(scalar_space(), grid, vals)
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, vals)
         out = object_fpc(traj, np.ones_like(grid))
         assert out.data[0] == pytest.approx(float(np.trapezoid(vals[:, 0], grid)), abs=1e-12)
 
     def test_weight_integrating_to_one_plus_1e_6_rejected(self):
         grid = np.linspace(0, 1, 41)
-        traj = ObjectTrajectory(scalar_space(), grid, np.zeros((41, 1)))
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.zeros((41, 1)))
         with pytest.raises(BadWeights, match="integrates to"):
             object_fpc(traj, np.full(41, 1 + 1e-6))
+
+    def test_nan_weight_rejected(self):
+        # the weights are blamed, not the trajectory: a NaN total fails no comparison
+        grid = np.linspace(0, 1, 41)
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.zeros((41, 1)))
+        with pytest.raises(BadWeights, match="integrates to"):
+            object_fpc(traj, np.full(41, np.nan))
 
     def test_gaussian_quantile_closed_form(self):
         # mean/scale curves mix through the weight function, then the
@@ -207,7 +212,7 @@ class TestObjectFpc:
         m, T = 12, 41
         grid = np.linspace(0, 1, T)
         w = trapezoid_weights(grid)
-        space = quantile_space(m)
+        space = SpaceKind("quantile", m)
         mu = 1.0 + 0.5 * grid
         sigma = 1.0 + grid**2
         probe = gaussian_quantiles(0.0, 1.0, m)
@@ -224,10 +229,10 @@ class TestObjectFpc:
         grid = np.linspace(0, 1, 17)
         w = trapezoid_weights(grid)
         vals = np.cos(np.pi * grid)[:, None]
-        traj = ObjectTrajectory(scalar_space(), grid, vals)
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, vals)
         phi_star = 2.0 * grid
         closed = object_fpc(traj, phi_star)
-        lattice = [ObjectPoint(scalar_space(), [v]) for v in np.linspace(-2, 2, 4001)]
+        lattice = [ObjectPoint(SpaceKind("scalar", 1), [v]) for v in np.linspace(-2, 2, 4001)]
         searched = riemann_sum_minimizer(traj, phi_star, lattice, w)
         assert abs(closed.data[0] - searched.data[0]) <= 1e-3
 
@@ -235,11 +240,12 @@ class TestObjectFpc:
     def test_matches_riemann_lattice_scalar_at_large_offset(self, offset):
         grid = np.linspace(0, 1, 17)
         w = trapezoid_weights(grid)
-        traj = ObjectTrajectory(scalar_space(), grid, offset + np.cos(np.pi * grid)[:, None])
+        space = SpaceKind("scalar", 1)
+        traj = ObjectTrajectory(space, grid, offset + np.cos(np.pi * grid)[:, None])
         phi_star = 2.0 * grid
         closed = object_fpc(traj, phi_star)
         step = 1e-3
-        lattice = [ObjectPoint(scalar_space(), [offset + v]) for v in np.arange(-1.5, 1.5, step)]
+        lattice = [ObjectPoint(space, [offset + v]) for v in np.arange(-1.5, 1.5, step)]
         searched = riemann_sum_minimizer(traj, phi_star, lattice, w)
         assert abs(closed.data[0] - searched.data[0]) <= step + 1e-12
 
@@ -249,7 +255,7 @@ class TestObjectFpc:
         T = 9
         grid = np.linspace(0, 1, T)
         w = trapezoid_weights(grid)
-        space = quantile_space(m)
+        space = SpaceKind("quantile", m)
         vals = np.sort(rng.uniform(0, 1, size=(T, m)), axis=1)
         traj = ObjectTrajectory(space, grid, vals)
         phi_star = 2.0 * grid
@@ -265,29 +271,31 @@ class TestRiemannMinimizer:
     def test_returns_closed_form_when_present(self):
         grid = np.linspace(0, 1, 11)
         w = trapezoid_weights(grid)
-        traj = ObjectTrajectory(scalar_space(), grid, grid[:, None])
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, grid[:, None])
         phi_star = np.ones_like(grid)
         target = float(np.trapezoid(grid, grid))
-        cands = [ObjectPoint(scalar_space(), [v]) for v in (0.0, target, 1.0)]
+        cands = [ObjectPoint(SpaceKind("scalar", 1), [v]) for v in (0.0, target, 1.0)]
         out = riemann_sum_minimizer(traj, phi_star, cands, w)
         assert out.data[0] == target
 
     def test_constant_trajectory_prefers_its_value(self):
         grid = np.linspace(0, 1, 7)
-        traj = ObjectTrajectory(scalar_space(), grid, np.full((7, 1), 0.25))
-        cands = [ObjectPoint(scalar_space(), [0.25]), ObjectPoint(scalar_space(), [1.5])]
+        space = SpaceKind("scalar", 1)
+        traj = ObjectTrajectory(space, grid, np.full((7, 1), 0.25))
+        cands = [ObjectPoint(space, [0.25]), ObjectPoint(space, [1.5])]
         out = riemann_sum_minimizer(traj, np.ones_like(grid), cands)
         assert out.data[0] == 0.25
 
     def test_default_candidates_are_observed_objects(self):
         grid = np.linspace(0, 1, 5)
-        traj = ObjectTrajectory(scalar_space(), grid, np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]))
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid,
+                                np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]))
         out = riemann_sum_minimizer(traj, np.ones_like(grid))
         assert out.data[0] in traj.values[:, 0]
 
     def test_empty_candidates(self):
         grid = np.linspace(0, 1, 5)
-        traj = ObjectTrajectory(scalar_space(), grid, np.zeros((5, 1)))
+        traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.zeros((5, 1)))
         with pytest.raises(ValueError):
             riemann_sum_minimizer(traj, np.ones_like(grid), [])
 
@@ -301,13 +309,13 @@ class TestRiemannMinimizer:
         target, _ = quad(lambda t: curve(t) * phi_star_fn(t), 0, 1, limit=200)
 
         step = 5e-5
-        lattice = [ObjectPoint(scalar_space(), [v])
+        lattice = [ObjectPoint(SpaceKind("scalar", 1), [v])
                    for v in np.arange(-1.0, 1.0 + step, step)]
 
         def minimizer_error(T):
             grid = np.linspace(0, 1, T)
             w = trapezoid_weights(grid)
-            traj = ObjectTrajectory(scalar_space(), grid, curve(grid)[:, None])
+            traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, curve(grid)[:, None])
             out = riemann_sum_minimizer(traj, phi_star_fn(grid), lattice, w)
             return abs(out.data[0] - target)
 
@@ -334,7 +342,7 @@ class TestScores:
         assert phi1.min() > 0  # constant direction stays positive
         mu = np.sin(np.pi * grid)
         sample = scalar_sample(np.stack([mu + phi1, mu - phi1, mu, mu]), grid)
-        mean_traj = ObjectTrajectory(scalar_space(), grid, mu[:, None])
+        mean_traj = ObjectTrajectory(SpaceKind("scalar", 1), grid, mu[:, None])
         scores = frechet_scores(sample, mean_traj, es)
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-4)
         assert np.abs(scores[0, 1:]).max() <= 1e-4
@@ -433,7 +441,7 @@ class TestFitPipeline:
     def test_fit_shapes_and_feasibility(self):
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 13)
-        space = quantile_space(5)
+        space = SpaceKind("quantile", 5)
         vals = np.sort(rng.normal(size=(6, 13, 5)), axis=2)
         sample = ObjectSample(space, grid, vals)
         fit = fit_fpca(sample, n_components=3)
@@ -478,7 +486,7 @@ class TestFitPipeline:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(20, 11, 4, 2))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
-        sample = ObjectSample(sympsd_space(4), np.linspace(0, 1, 11), values)
+        sample = ObjectSample(SpaceKind("sympsd", 4), np.linspace(0, 1, 11), values)
         for traj, row in zip(sample.trajectories, sample.stacked_values):
             assert traj.values.tobytes() == row.tobytes()
         fit = fit_fpca(sample, n_components=2)

@@ -1,4 +1,5 @@
-"""Every import in the library, the tests and the demos is used.
+"""Every import in the library, the tests and the demos is used, and the
+public API is the pinned list of names.
 
 A name an import binds counts as used if the module reads it anywhere,
 lists it in ``__all__``, or the import's lines carry a ``noqa`` comment.
@@ -6,6 +7,8 @@ lists it in ``__all__``, or the import's lines carry a ``noqa`` comment.
 
 import ast
 import pathlib
+
+import ofpca
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src/ofpca", "tests", "demos")
@@ -48,3 +51,24 @@ def test_no_unused_imports():
     files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
     assert len(files) > 20
     assert [hit for p in files for hit in unused_imports(p)] == []
+
+
+#: ``ofpca.__all__``: adding or removing a public name is an edit here.
+PUBLIC_API = [
+    "BadRank", "BadWeights", "DegenerateVariance", "DistributionSimConfig", "EigenSystem",
+    "FpcaFit", "InputError", "InvalidObject", "InvalidSurface", "KernelSurface",
+    "NetworkSimConfig", "NonIntegrableEigenfunction", "ObjectPoint", "ObjectSample",
+    "ObjectTrajectory", "OfpcaError", "SchemaError", "SpaceKind", "SpaceMismatch",
+    "TooFewTrajectories", "distance", "distance_curves", "distribution_sim_basis",
+    "eigendecompose", "estimate_cov_surface", "fit_fpca", "frechet_mean_trajectory",
+    "frechet_scores", "isotonic_projection", "jacobi_polynomial", "metric_correlation",
+    "metric_covariance", "metric_variance", "mise_report", "network_sim_basis",
+    "normalize_eigenfunction", "object_fpc", "simulate", "squared_distance",
+    "trapezoid_weights", "true_eigensystem",
+]
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 41
+    assert sorted(ofpca.__all__) == PUBLIC_API
+    assert [name for name in PUBLIC_API if not hasattr(ofpca, name)] == []

@@ -10,9 +10,7 @@ import pytest
 from ofpca import (
     ObjectSample,
     SchemaError,
-    quantile_space,
-    scalar_space,
-    sympsd_space,
+    SpaceKind,
 )
 from ofpca import io as ofio
 
@@ -39,7 +37,7 @@ class TestFloats:
 
 def small_sample():
     grid = np.linspace(0.0, 1.0, 4)
-    space = quantile_space(3)
+    space = SpaceKind("quantile", 3)
     rng = np.random.default_rng(0)
     vals = np.sort(rng.normal(size=(3, 4, 3)), axis=2)
     return ObjectSample(space, grid, vals)
@@ -60,7 +58,7 @@ class TestTrajectoryFile:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(20, 11, 4, 2))
         values = (a @ np.swapaxes(a, -1, -2)).reshape(20, 11, 16)
-        sample = ObjectSample(sympsd_space(4), np.linspace(0, 1, 11), values)
+        sample = ObjectSample(SpaceKind("sympsd", 4), np.linspace(0, 1, 11), values)
         path = tmp_path / "psd.json"
         ofio.save_trajectory_file(sample, path)
         loaded = ofio.load_trajectory_file(path)
@@ -270,7 +268,7 @@ class TestChunkedReader:
         row = np.sort(np.random.default_rng(0).normal(size=(11, 5)), axis=1)
         values = np.broadcast_to(row, (200, 11, 5))
         path = tmp_path / "equal.json"
-        ofio.save_trajectory_file(ObjectSample(quantile_space(5), np.linspace(0, 1, 11),
+        ofio.save_trajectory_file(ObjectSample(SpaceKind("quantile", 5), np.linspace(0, 1, 11),
                                                values), path)
         failed = []
 
@@ -322,7 +320,7 @@ class TestFitArtifact:
             grid = np.linspace(0.0, 1.0, 41)
             phi = np.sqrt(2.0) * np.cos(2 * np.pi * grid)
             sample = ObjectSample(
-                scalar_space(), grid, np.outer([-1.5, -0.5, 0.5, 1.5], phi)[..., None])
+                SpaceKind("scalar", 1), grid, np.outer([-1.5, -0.5, 0.5, 1.5], phi)[..., None])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = fit_fpca(sample, n_components=1, fpc_objects=fpc_objects)

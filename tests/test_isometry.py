@@ -23,11 +23,8 @@ import pytest
 from ofpca import (
     DistributionSimConfig,
     ObjectSample,
-    adjacency_space,
-    quantile_space,
-    scalar_space,
+    SpaceKind,
     simulate,
-    sympsd_space,
 )
 from ofpca.cli import main
 from ofpca.io import save_trajectory_file
@@ -70,10 +67,10 @@ def isometries():
     perm = rng.permutation(4)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     return [
-        ("scalar reflection", scalar_space(), lambda x: -x + 3.25),
-        ("quantile translation", quantile_space(6), lambda x: x + 2.5),
-        ("adjacency relabeling", adjacency_space(4), conjugate(np.eye(4)[perm])),
-        ("sympsd rotation", sympsd_space(3), conjugate(q)),
+        ("scalar reflection", SpaceKind("scalar", 1), lambda x: -x + 3.25),
+        ("quantile translation", SpaceKind("quantile", 6), lambda x: x + 2.5),
+        ("adjacency relabeling", SpaceKind("adjacency", 4), conjugate(np.eye(4)[perm])),
+        ("sympsd rotation", SpaceKind("sympsd", 3), conjugate(q)),
     ]
 
 

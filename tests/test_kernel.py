@@ -20,7 +20,6 @@ from ofpca import (
     SpaceKind,
     SpaceMismatch,
     TooFewTrajectories,
-    adjacency_space,
     distance_curves,
     eigendecompose,
     estimate_cov_surface,
@@ -29,11 +28,8 @@ from ofpca import (
     metric_correlation,
     metric_covariance,
     metric_variance,
-    quantile_space,
-    scalar_space,
     simulate,
     squared_distance,
-    sympsd_space,
     trapezoid_weights,
 )
 
@@ -54,12 +50,12 @@ from oracles import (
 def scalar_sample(X, grid=None):
     if grid is None:
         grid = np.linspace(0.0, 1.0, X.shape[1])
-    return ObjectSample(scalar_space(), grid, X[..., None])
+    return ObjectSample(SpaceKind("scalar", 1), grid, X[..., None])
 
 
 def quantile_sample(rng, n, T, m):
     values = np.sort(rng.normal(size=(n, T, m)), axis=2)
-    return ObjectSample(quantile_space(m), np.linspace(0.0, 1.0, T), values)
+    return ObjectSample(SpaceKind("quantile", m), np.linspace(0.0, 1.0, T), values)
 
 
 def random_objects(space, rng, shape):
@@ -102,8 +98,8 @@ class TestPairKernel:
 
     def test_scalar_diagonal_value(self):
         grid = np.linspace(0, 1, 3)
-        x = ObjectTrajectory(scalar_space(), grid, np.zeros((3, 1)))
-        y = ObjectTrajectory(scalar_space(), grid, np.full((3, 1), 2.0))
+        x = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.zeros((3, 1)))
+        y = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.full((3, 1), 2.0))
         assert pair_kernel(x, y, 1, 1) == 8.0
 
     def test_constant_trajectories(self):
@@ -112,8 +108,8 @@ class TestPairKernel:
         # keeps the estimator consistent with the classical covariance of
         # constant scalar curves
         grid = np.linspace(0, 1, 4)
-        x = ObjectTrajectory(scalar_space(), grid, np.full((4, 1), 0.7))
-        y = ObjectTrajectory(scalar_space(), grid, np.full((4, 1), -1.3))
+        x = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.full((4, 1), 0.7))
+        y = ObjectTrajectory(SpaceKind("scalar", 1), grid, np.full((4, 1), -1.3))
         for s in range(4):
             for t in range(4):
                 assert pair_kernel(x, y, s, t) == pytest.approx(8.0, abs=1e-12)
@@ -192,8 +188,8 @@ class TestCovSurface:
         oracle = np.einsum("isp,itp->st", centered, centered) / (n - 1)
         assert np.abs(surface.values - oracle).max() <= 1e-10
 
-    @pytest.mark.parametrize("space", [scalar_space(), quantile_space(4),
-                                       adjacency_space(3), sympsd_space(3)],
+    @pytest.mark.parametrize("space", [SpaceKind("scalar", 1), SpaceKind("quantile", 4),
+                                       SpaceKind("adjacency", 3), SpaceKind("sympsd", 3)],
                              ids=lambda sp: sp.tag)
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("T", [2, 4])
@@ -227,28 +223,28 @@ class TestCovSurface:
 
     def test_too_few_trajectories(self):
         with pytest.raises(TooFewTrajectories):
-            ObjectSample(scalar_space(), np.linspace(0, 1, 4), np.zeros((1, 4, 1)))
+            ObjectSample(SpaceKind("scalar", 1), np.linspace(0, 1, 4), np.zeros((1, 4, 1)))
 
 
 class TestMetricVariance:
     def test_identical_objects(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         objs = [ObjectPoint(space, [3.0]) for _ in range(5)]
         assert metric_variance(objs) == 0.0
 
     def test_two_scalars(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         objs = [ObjectPoint(space, [0.0]), ObjectPoint(space, [2.0])]
         assert metric_variance(objs) == pytest.approx(2.0, abs=1e-14)
 
     def test_three_scalars(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         objs = [ObjectPoint(space, [v]) for v in (1.0, 2.0, 3.0)]
         assert metric_variance(objs) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_unbiased_variance_oracle(self):
         rng = np.random.default_rng(13)
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         for _ in range(20):
             vals = rng.normal(size=int(rng.integers(2, 30)))
             objs = [ObjectPoint(space, [v]) for v in vals]
@@ -256,7 +252,7 @@ class TestMetricVariance:
 
     def test_large_offset_matches_np_var(self):
         rng = np.random.default_rng(31)
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         vals = rng.normal(size=50) + 1e8
         objs = [ObjectPoint(space, [v]) for v in vals]
         want = np.var(vals, ddof=1)
@@ -274,14 +270,15 @@ class TestMetricVariance:
         X = rng.normal(size=(7, 5))
         sample = scalar_sample(X)
         surface = estimate_cov_surface(sample)
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         for t in range(5):
             objs = [ObjectPoint(space, [X[i, t]]) for i in range(7)]
             assert metric_variance(objs) == pytest.approx(surface.values[t, t], abs=1e-12)
 
 
-@pytest.mark.parametrize("space", [scalar_space(), quantile_space(6), adjacency_space(4),
-                                   sympsd_space(3)], ids=lambda sp: sp.tag)
+@pytest.mark.parametrize("space", [SpaceKind("scalar", 1), SpaceKind("quantile", 6),
+                                   SpaceKind("adjacency", 4), SpaceKind("sympsd", 3)],
+                         ids=lambda sp: sp.tag)
 def test_surface_entries_are_metric_covariances(space):
     # C(s, t) is the metric covariance of the paired objects (X(s), X(t))
     rng = np.random.default_rng(22)
@@ -299,13 +296,13 @@ def test_surface_entries_are_metric_covariances(space):
 
 class TestMetricCorrelation:
     def test_self_correlation_is_one(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         objs = [ObjectPoint(space, [v]) for v in (0.0, 1.0, 5.0)]
         assert metric_correlation(objs, objs) == 1.0
 
     def test_self_correlation_exact_on_random_fixtures(self):
         rng = np.random.default_rng(21)
-        space = quantile_space(4)
+        space = SpaceKind("quantile", 4)
         for _ in range(20):
             objs = [ObjectPoint(space, np.sort(rng.normal(size=4)))
                     for _ in range(int(rng.integers(2, 12)))]
@@ -313,19 +310,34 @@ class TestMetricCorrelation:
 
     def test_scaled_copy_correlates_at_most_one(self):
         # the unclamped ratio reads 1.0000000000000002 for this pair
-        space = scalar_space()
-        x = (-0.6651946734866135, 0.3515100700930197)
+        space = SpaceKind("scalar", 1)
+        x = (0.264, -0.314)
         u = [ObjectPoint(space, [v]) for v in x]
         assert metric_correlation(u, [ObjectPoint(space, [3.0 * v]) for v in x]) == 1.0
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_scale_invariant(self, scale):
+        # the product of the two variances overflows at 1e100 and underflows at 1e-100
+        rng = np.random.default_rng(38)
+        space = SpaceKind("scalar", 1)
+        uu = rng.normal(size=50)
+        vv = 0.4 * uu + rng.normal(size=50)
+
+        def points(xs, s):
+            return [ObjectPoint(space, [s * x]) for x in xs]
+
+        rho = metric_correlation(points(uu, 1.0), points(vv, 1.0))
+        assert abs(metric_correlation(points(uu, scale), points(vv, scale)) - rho) <= 1e-14
+        assert metric_correlation(points(uu, scale), points(uu, scale)) == 1.0
+
     def test_negated_pairs(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         u = [ObjectPoint(space, [v]) for v in (-1.0, 0.5, 2.0)]
         v = [ObjectPoint(space, [-p.data[0]]) for p in u]
         assert metric_correlation(u, v) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_pearson_oracle(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         uu = np.array([0.0, 1.0, 2.0])
         vv = np.array([1.0, 0.0, 2.0])
         u = [ObjectPoint(space, [x]) for x in uu]
@@ -334,7 +346,7 @@ class TestMetricCorrelation:
 
     def test_matches_pearson_randomized(self):
         rng = np.random.default_rng(15)
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         for _ in range(20):
             n = int(rng.integers(3, 40))
             uu = rng.normal(size=n)
@@ -347,7 +359,7 @@ class TestMetricCorrelation:
 
     def test_large_offset_covariance_matches_np_cov(self):
         rng = np.random.default_rng(32)
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         uu = rng.normal(size=50)
         vv = 0.5 * uu + rng.normal(size=50)
         uu, vv = uu + 1e8, vv - 1e8
@@ -360,19 +372,19 @@ class TestMetricCorrelation:
         )
 
     def test_degenerate_variance(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         const = [ObjectPoint(space, [1.0]) for _ in range(3)]
         varying = [ObjectPoint(space, [v]) for v in (0.0, 1.0, 2.0)]
         with pytest.raises(DegenerateVariance):
             metric_correlation(const, varying)
 
     @pytest.mark.parametrize("space, count, error", [
-        (quantile_space(1), 3, SpaceMismatch),
-        (scalar_space(), 2, InvalidObject),
+        (SpaceKind("quantile", 1), 3, SpaceMismatch),
+        (SpaceKind("scalar", 1), 2, InvalidObject),
     ], ids=["other space", "unequal lengths"])
     def test_pair_is_checked_before_the_margins(self, space, count, error):
         # a constant margin would raise DegenerateVariance, which hides the input error
-        const = [ObjectPoint(scalar_space(), [1.0]) for _ in range(3)]
+        const = [ObjectPoint(SpaceKind("scalar", 1), [1.0]) for _ in range(3)]
         varying = [ObjectPoint(space, [float(v)]) for v in range(count)]
         with pytest.raises(error):
             metric_correlation(const, varying)
@@ -382,13 +394,13 @@ class TestMetricCorrelation:
         (3, 2, InvalidObject, "equal length"),
     ], ids=["one pair", "unequal lengths"])
     def test_rejects_unpaired_lists(self, n_u, n_v, error, message):
-        points = [ObjectPoint(scalar_space(), [v]) for v in (0.0, 1.0, 3.0)]
+        points = [ObjectPoint(SpaceKind("scalar", 1), [v]) for v in (0.0, 1.0, 3.0)]
         with pytest.raises(error, match=message):
             metric_covariance(points[:n_u], points[:n_v])
 
     def test_cross_space_rejected(self):
-        u = [ObjectPoint(scalar_space(), [v]) for v in (0.0, 1.0)]
-        v = [ObjectPoint(quantile_space(2), [0.0, 1.0]) for _ in range(2)]
+        u = [ObjectPoint(SpaceKind("scalar", 1), [v]) for v in (0.0, 1.0)]
+        v = [ObjectPoint(SpaceKind("quantile", 2), [0.0, 1.0]) for _ in range(2)]
         with pytest.raises(SpaceMismatch):
             metric_covariance(u, v)
 
@@ -467,6 +479,18 @@ class TestSurfaceInvariants:
         with pytest.raises(InvalidSurface, match=message):
             make(np.linspace(0, 1, 3))
 
+    @pytest.mark.parametrize("vals, fun", [
+        ([np.nan], [1.0, 1.0, 1.0]),
+        ([np.inf], [1.0, 1.0, 1.0]),
+        ([1.0], [np.nan, np.nan, np.nan]),
+        ([1.0], [1.0, np.inf, 1.0]),
+    ], ids=["NaN eigenvalue", "inf eigenvalue", "NaN eigenfunction", "inf eigenfunction"])
+    def test_rejects_non_finite_eigensystem(self, vals, fun):
+        # the constant 1 is quadrature-orthonormal on this grid; a NaN passes
+        # every order and tolerance comparison, so only the finiteness check sees it
+        with pytest.raises(InvalidSurface, match="must be finite"):
+            EigenSystem(vals, [fun], np.linspace(0, 1, 3))
+
     @pytest.mark.parametrize("scale", [1e3, 1e8])
     def test_symmetry_tolerance_is_relative(self, scale):
         # symmetric by construction, but the product rounds each triangle
@@ -480,12 +504,12 @@ class TestSurfaceInvariants:
 
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidObject):
-            ObjectTrajectory(scalar_space(), np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)))
+            ObjectTrajectory(SpaceKind("scalar", 1), np.array([0.0, 0.5, 0.5]), np.zeros((3, 1)))
         # NaN fails no order or range comparison, so only the finiteness check sees it
         with pytest.raises(InvalidObject, match="non-finite"):
-            ObjectTrajectory(scalar_space(), np.array([0.0, np.nan]), np.zeros((2, 1)))
+            ObjectTrajectory(SpaceKind("scalar", 1), np.array([0.0, np.nan]), np.zeros((2, 1)))
         with pytest.raises(InvalidObject):
-            ObjectTrajectory(scalar_space(), np.array([0.0, 1.5]), np.zeros((2, 1)))
+            ObjectTrajectory(SpaceKind("scalar", 1), np.array([0.0, 1.5]), np.zeros((2, 1)))
         # an eigensystem checks its grid before it derives weights from it
         with pytest.raises(InvalidObject):
             EigenSystem([1.0], [[1.0]], [0.5])
@@ -515,7 +539,8 @@ class TestSurfaceInvariants:
             obj.quad_weights = w
 
 
-ALL_SPACES = [scalar_space(), quantile_space(4), adjacency_space(3), sympsd_space(3)]
+ALL_SPACES = [SpaceKind("scalar", 1), SpaceKind("quantile", 4), SpaceKind("adjacency", 3),
+              SpaceKind("sympsd", 3)]
 
 
 def per_trajectory_values(space, grid, values):
@@ -609,7 +634,7 @@ class TestSampleFromValues:
     def test_constructor_leaves_caller_arrays_writeable(self):
         grid = np.linspace(0.0, 1.0, 3)
         values = np.zeros((2, 3, 1))
-        sample = ObjectSample(scalar_space(), grid, values)
+        sample = ObjectSample(SpaceKind("scalar", 1), grid, values)
         assert values.flags.writeable and grid.flags.writeable
         values[0] = 1.0
         grid[0] = 0.5
@@ -620,7 +645,7 @@ class TestSampleFromValues:
     def test_read_only_float64_is_kept(self):
         grid = np.linspace(0.0, 1.0, 3)
         values = read_only(np.arange(6.0).reshape(2, 3, 1))
-        sample = ObjectSample(scalar_space(), grid, values)
+        sample = ObjectSample(SpaceKind("scalar", 1), grid, values)
         assert sample.stacked_values is values
         assert all(np.shares_memory(traj.values, row)
                    for traj, row in zip(sample.trajectories, values))
@@ -628,7 +653,7 @@ class TestSampleFromValues:
         single = values.astype(np.float32)
         single.flags.writeable = False
         for other in (np.array(values), single):
-            copied = ObjectSample(scalar_space(), grid, other)
+            copied = ObjectSample(SpaceKind("scalar", 1), grid, other)
             assert not np.shares_memory(copied.stacked_values, other)
             assert np.array_equal(copied.stacked_values, values)
 
@@ -643,9 +668,9 @@ class TestSampleFromValues:
     def test_time_grid_kept_or_copied_like_values(self):
         values = np.zeros((2, 3, 1))
         grid = read_only(np.linspace(0.0, 1.0, 3))
-        assert ObjectSample(scalar_space(), grid, values).time_grid is grid
+        assert ObjectSample(SpaceKind("scalar", 1), grid, values).time_grid is grid
         writable = np.linspace(0.0, 1.0, 3)
-        sample = ObjectSample(scalar_space(), writable, values)
+        sample = ObjectSample(SpaceKind("scalar", 1), writable, values)
         assert not np.shares_memory(sample.time_grid, writable)
         assert not sample.time_grid.flags.writeable
         assert all(traj.time_grid is sample.time_grid for traj in sample.trajectories)
@@ -662,7 +687,7 @@ class TestSampleFromValues:
 
     def test_constructor_makes_one_copy(self):
         # one copy plus the block check's temporaries; a second copy would hold 2x
-        space = quantile_space(100)
+        space = SpaceKind("quantile", 100)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(13), (400, 51))
         sample, peak = traced_peak(ObjectSample, space, grid, values)
@@ -671,7 +696,7 @@ class TestSampleFromValues:
 
     def test_read_only_repair_is_kept_uncopied(self):
         # the repair is the one copy: owning it must not copy it again
-        space = quantile_space(100)
+        space = SpaceKind("quantile", 100)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(13), (400, 51))
         values[7, 3, 40] = values[7, 3, 41] + 1e-11  # one decrease within tolerance
@@ -683,7 +708,7 @@ class TestSampleFromValues:
 
     def test_conversion_is_the_one_copy(self):
         # a float32 input is converted once: owning the conversion must not copy it again
-        space = quantile_space(100)
+        space = SpaceKind("quantile", 100)
         grid = np.linspace(0.0, 1.0, 51)
         values = random_objects(space, np.random.default_rng(13), (400, 51))
         single = values.astype(np.float32)
@@ -691,7 +716,7 @@ class TestSampleFromValues:
         assert np.array_equal(sample.stacked_values, single)
         assert peak < 1.25 * values.nbytes
 
-    @pytest.mark.parametrize("space", [quantile_space(100), adjacency_space(10)],
+    @pytest.mark.parametrize("space", [SpaceKind("quantile", 100), SpaceKind("adjacency", 10)],
                              ids=lambda sp: sp.tag)
     def test_sample_and_surface_build_one_sample_sized_temporary(self, space):
         # validation through out-of-place temporaries would hold several
@@ -710,7 +735,8 @@ class TestSampleFromValues:
         assert peak < 1.5 * values.nbytes
 
 
-SURFACE_SPACES = [scalar_space(), quantile_space(100), adjacency_space(10), sympsd_space(10)]
+SURFACE_SPACES = [SpaceKind("scalar", 1), SpaceKind("quantile", 100), SpaceKind("adjacency", 10),
+                  SpaceKind("sympsd", 10)]
 
 
 def trajectories_per_block(space, T):
@@ -776,7 +802,7 @@ class TestBlockedSurface:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sympsd_large_offset_matches_reference(self):
-        space, T = sympsd_space(10), 51
+        space, T = SpaceKind("sympsd", 10), 51
         n = trajectories_per_block(space, T) + 1
         values = random_objects(space, np.random.default_rng(4), (n, T))
         values += 1e8 * np.eye(space.dim).reshape(-1)

@@ -12,10 +12,10 @@ from ofpca import (
     ObjectPoint,
     ObjectSample,
     ObjectTrajectory,
-    quantile_space,
+    SpaceKind,
 )
 
-SPACE = quantile_space(3)
+SPACE = SpaceKind("quantile", 3)
 GRID = np.array([0.0, 0.5, 1.0])
 CURVE = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 3.0], [-1.0, 0.5, 0.5]])
 

@@ -10,14 +10,11 @@ import ofpca
 from ofpca import (
     ObjectPoint,
     ObjectSample,
-    adjacency_space,
+    SpaceKind,
     distance,
     eigendecompose,
     estimate_cov_surface,
     fit_fpca,
-    quantile_space,
-    scalar_space,
-    sympsd_space,
 )
 from ofpca.cli import main as cli_main
 from ofpca.sim import DistributionSimConfig, NetworkSimConfig, simulate
@@ -36,7 +33,7 @@ class TestNonUniformGrid:
 
     def sample(self, rng, n=12):
         X = rng.normal(size=(n, self.GRID.size))
-        return ObjectSample(scalar_space(), self.GRID, X[..., None]), X
+        return ObjectSample(SpaceKind("scalar", 1), self.GRID, X[..., None]), X
 
     def test_surface_matches_classical_oracle(self):
         rng = np.random.default_rng(0)
@@ -62,7 +59,7 @@ class TestNonUniformGrid:
 class TestMatrixSpacesEndToEnd:
     def psd_sample(self, rng, n=8, T=6, r=3):
         grid = np.linspace(0, 1, T)
-        space = sympsd_space(r)
+        space = SpaceKind("sympsd", r)
         trajs = []
         for _ in range(n):
             base = rng.normal(size=(r, r))
@@ -133,14 +130,14 @@ class TestMatrixSpacesEndToEnd:
 
 class TestDegenerateDimensions:
     def test_single_point_quantile_space(self):
-        space = quantile_space(1)
+        space = SpaceKind("quantile", 1)
         a = ObjectPoint(space, [2.0])
         b = ObjectPoint(space, [5.0])
         assert distance(a, b) == 3.0
 
     def test_two_by_two_adjacency_sample(self):
         grid = np.linspace(0, 1, 4)
-        space = adjacency_space(2)
+        space = SpaceKind("adjacency", 2)
 
         vals = np.zeros((3, 4, 4))
         vals[..., 1] = vals[..., 2] = np.array([0.2, 0.8, 0.5])[:, None] * grid
@@ -149,8 +146,8 @@ class TestDegenerateDimensions:
             fit = fit_fpca(sample, n_components=2)
         assert np.all(np.isfinite(fit.scores))
 
-    @pytest.mark.parametrize("space", [scalar_space(), quantile_space(1),
-                                       adjacency_space(1), sympsd_space(1)],
+    @pytest.mark.parametrize("space", [SpaceKind("scalar", 1), SpaceKind("quantile", 1),
+                                       SpaceKind("adjacency", 1), SpaceKind("sympsd", 1)],
                              ids=lambda s: s.tag)
     def test_dim_one_constant_sample_fits(self, space):
         # a one-node network keeps no metric coordinates at all
@@ -167,7 +164,7 @@ class TestDegenerateDimensions:
         rng = np.random.default_rng(5)
         grid = np.linspace(0, 1, 8)
         X = rng.normal(size=(5, 8))
-        sample = ObjectSample(scalar_space(), grid, X[..., None])
+        sample = ObjectSample(SpaceKind("scalar", 1), grid, X[..., None])
         es = eigendecompose(estimate_cov_surface(sample), k=3)
         assert es.explained_fractions.shape == (3,)
         assert 0.0 < es.explained_fractions.sum() < 1.0

@@ -11,18 +11,14 @@ from ofpca import (
     ObjectTrajectory,
     SpaceKind,
     SpaceMismatch,
-    adjacency_space,
     distance,
     fit_fpca,
     isotonic_projection,
     object_fpc,
-    quantile_space,
-    scalar_space,
     squared_distance,
-    sympsd_space,
     trapezoid_weights,
 )
-from ofpca.spaces import ADMISSION_TOL, project_coordinates, validate_block
+from ofpca.spaces import ADMISSION_TOL, SPACE_TAGS, project_coordinates, validate_block
 
 from oracles import best_monotone_on_lattice, gaussian_quantiles, monotone_lattice
 
@@ -41,7 +37,8 @@ def random_point(space, rng):
     return ObjectPoint(space, (a @ a.T).reshape(-1))
 
 
-ALL_SPACES = [scalar_space(), quantile_space(6), adjacency_space(4), sympsd_space(3)]
+ALL_SPACES = [SpaceKind("scalar", 1), SpaceKind("quantile", 6), SpaceKind("adjacency", 4),
+              SpaceKind("sympsd", 3)]
 
 
 class TestDistance:
@@ -49,33 +46,33 @@ class TestDistance:
         # N(0,1) vs N(2,1): quantiles differ by the constant 2, so the
         # discrete Wasserstein distance is exactly the mean difference
         m = 400
-        space = quantile_space(m)
+        space = SpaceKind("quantile", m)
         a = ObjectPoint(space, gaussian_quantiles(0.0, 1.0, m))
         b = ObjectPoint(space, gaussian_quantiles(2.0, 1.0, m))
         assert distance(a, b) == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_adjacency_zero(self):
-        space = adjacency_space(3)
+        space = SpaceKind("adjacency", 3)
         mat = np.array([[0, 0.5, 0.2], [0.5, 0, 0.1], [0.2, 0.1, 0]])
         a = ObjectPoint(space, mat.reshape(-1))
         b = ObjectPoint(space, mat.reshape(-1))
         assert distance(a, b) == 0.0
 
     def test_single_edge_difference(self):
-        space = adjacency_space(2)
+        space = SpaceKind("adjacency", 2)
         a = ObjectPoint(space, np.array([0.0, 0.5, 0.5, 0.0]))
         b = ObjectPoint(space, np.array([0.0, 0.8, 0.8, 0.0]))
         # both symmetric entries move by 0.3
         assert distance(a, b) == pytest.approx(np.sqrt(2 * 0.09), rel=1e-12)
 
     def test_scalar_absolute_difference(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         assert distance(ObjectPoint(space, [1.5]), ObjectPoint(space, [-2.0])) == 3.5
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
-            distance(ObjectPoint(scalar_space(), [0.0]),
-                     ObjectPoint(quantile_space(2), [0.0, 1.0]))
+            distance(ObjectPoint(SpaceKind("scalar", 1), [0.0]),
+                     ObjectPoint(SpaceKind("quantile", 2), [0.0, 1.0]))
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
     def test_metric_axioms(self, space):
@@ -101,12 +98,14 @@ class TestProjection:
 
     def test_psd_eigenvalue_clamp(self):
         raw = np.diag([1.0, -0.5]).reshape(-1)
-        p = ObjectPoint(sympsd_space(2), project_coordinates(sympsd_space(2), raw))
+        space = SpaceKind("sympsd", 2)
+        p = ObjectPoint(space, project_coordinates(space, raw))
         assert np.allclose(p.matrix(), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_adjacency_box_clamp(self):
         raw = np.array([0.0, 1.4, 1.4, 0.0])
-        p = ObjectPoint(adjacency_space(2), project_coordinates(adjacency_space(2), raw))
+        space = SpaceKind("adjacency", 2)
+        p = ObjectPoint(space, project_coordinates(space, raw))
         assert p.matrix()[0, 1] == 1.0
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
@@ -177,31 +176,31 @@ class TestBatchedProjection:
 
     def test_rejects_wrong_length_and_scalars(self):
         with pytest.raises(InvalidObject):
-            project_coordinates(quantile_space(3), np.zeros((2, 4)))
+            project_coordinates(SpaceKind("quantile", 3), np.zeros((2, 4)))
         with pytest.raises(InvalidObject):
-            project_coordinates(scalar_space(), 1.0)
+            project_coordinates(SpaceKind("scalar", 1), 1.0)
 
 
 class TestValidation:
     def test_rejects_non_monotone_quantile(self):
         with pytest.raises(InvalidObject):
-            ObjectPoint(quantile_space(3), [0.0, 1.0, 0.5])
+            ObjectPoint(SpaceKind("quantile", 3), [0.0, 1.0, 0.5])
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(InvalidObject):
-            ObjectPoint(adjacency_space(2), [0.0, 0.3, 0.6, 0.0])
+            ObjectPoint(SpaceKind("adjacency", 2), [0.0, 0.3, 0.6, 0.0])
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidObject):
-            ObjectPoint(adjacency_space(2), [0.5, 0.3, 0.3, 0.0])
+            ObjectPoint(SpaceKind("adjacency", 2), [0.5, 0.3, 0.3, 0.0])
 
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(InvalidObject):
-            ObjectPoint(sympsd_space(2), np.diag([1.0, -0.1]).reshape(-1))
+            ObjectPoint(SpaceKind("sympsd", 2), np.diag([1.0, -0.1]).reshape(-1))
 
     def test_repairs_tiny_negative_eigenvalue(self):
         raw = np.diag([1.0, -5e-11]).reshape(-1)
-        p = ObjectPoint(sympsd_space(2), raw)
+        p = ObjectPoint(SpaceKind("sympsd", 2), raw)
         assert np.linalg.eigvalsh(p.matrix()).min() >= 0.0
 
     @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.tag)
@@ -216,14 +215,14 @@ class TestValidation:
 
     def test_repairs_tiny_quantile_violation(self):
         raw = [0.0, 1.0, 1.0 - 5e-11]
-        p = ObjectPoint(quantile_space(3), raw)
+        p = ObjectPoint(SpaceKind("quantile", 3), raw)
         assert np.all(np.diff(p.data) >= 0.0)
         # the repair is the L2 projection (PAVA)
         np.testing.assert_array_equal(p.data, isotonic_projection(raw))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidObject):
-            ObjectPoint(scalar_space(), [np.nan])
+            ObjectPoint(SpaceKind("scalar", 1), [np.nan])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)], [(2, 2)]],
@@ -232,7 +231,7 @@ class TestValidation:
         # adjacency finiteness is read off the block's minimum and maximum;
         # a NaN or an infinity must be named as such, whichever of the
         # symmetry, diagonal and range checks it would fail
-        space = adjacency_space(4)
+        space = SpaceKind("adjacency", 4)
         values = np.full((3, 5, 4, 4), 0.5)
         values[..., np.arange(4), np.arange(4)] = 0.0
         for i, j in cells:
@@ -249,13 +248,13 @@ class TestValidation:
                              ids=["two objects", "0-d", "empty", "too long"])
     def test_point_holds_one_object(self, data):
         with pytest.raises(InvalidObject, match=r"a point needs shape \(1,\)"):
-            ObjectPoint(scalar_space(), data)
+            ObjectPoint(SpaceKind("scalar", 1), data)
 
     def test_quantile_repair_is_the_projection_of_the_block(self):
         # dipping rows within tolerance are projected (PAVA), the others
         # come back bit for bit; one dip beyond tolerance rejects the block
         rng = np.random.default_rng(8)
-        space = quantile_space(5)
+        space = SpaceKind("quantile", 5)
         block = np.sort(rng.normal(size=(4, 3, 5)), axis=-1)
         block[1, 2, 3] = block[1, 2, 4] + 4e-11
         block[3, 0, 0] = block[3, 0, 1] + 1e-11
@@ -270,19 +269,24 @@ class TestValidation:
             validate_block(space, block)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: SpaceKind("circle"), "unknown space tag 'circle'"),
+        (lambda: SpaceKind("circle", 1), "unknown space tag 'circle'"),
         (lambda: SpaceKind("scalar", 2), "scalar space has dim 1"),
-        (lambda: scalar_space().quantile_grid(), "quantile spaces only"),
-        (lambda: ObjectPoint(quantile_space(4), [0.0, 1.0, 2.0, 3.0]).matrix(),
+        (lambda: SpaceKind("scalar", 1).quantile_grid(), "quantile spaces only"),
+        (lambda: ObjectPoint(SpaceKind("quantile", 4), [0.0, 1.0, 2.0, 3.0]).matrix(),
          "quantile objects are not matrices"),
-        (lambda: project_coordinates(quantile_space(2), [[0.0, np.nan]]), "non-finite"),
+        (lambda: project_coordinates(SpaceKind("quantile", 2), [[0.0, np.nan]]), "non-finite"),
     ], ids=["unknown tag", "scalar dim", "quantile grid", "matrix", "projection NaN"])
     def test_rejects_outside_its_domain(self, call, message):
         with pytest.raises(InvalidObject, match=message):
             call()
 
+    @pytest.mark.parametrize("tag", SPACE_TAGS)
+    def test_dim_is_required(self, tag):
+        with pytest.raises(TypeError, match="dim"):
+            SpaceKind(tag)
+
     def test_data_is_frozen(self):
-        p = ObjectPoint(scalar_space(), [1.0])
+        p = ObjectPoint(SpaceKind("scalar", 1), [1.0])
         with pytest.raises(ValueError):
             p.data[0] = 2.0
 
@@ -298,7 +302,7 @@ def barycenter(points, w):
 
 class TestBarycenter:
     def test_two_scalars_midpoint(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         out = barycenter([ObjectPoint(space, [0.0]), ObjectPoint(space, [2.0])], [0.5, 0.5])
         assert out.data[0] == 1.0
 
@@ -316,7 +320,7 @@ class TestBarycenter:
     def test_signed_weights_trigger_projection(self):
         # monotone inputs whose signed average (2, 1) is non-monotone:
         # the pooled value (1.5, 1.5) must win on the lattice too
-        space = quantile_space(2)
+        space = SpaceKind("quantile", 2)
         pts = [ObjectPoint(space, [0.0, 1.0]), ObjectPoint(space, [1.0, 1.0])]
         weights = np.array([-1.0, 2.0])
         out = barycenter(pts, weights)
@@ -349,12 +353,12 @@ class TestBarycenter:
             assert base <= objective(candidate) + 1e-10
 
     def test_bad_weight_sum(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         with pytest.raises(BadWeights):
             barycenter([ObjectPoint(space, [1.0]), ObjectPoint(space, [2.0])], [0.25, 0.25])
 
     def test_bad_weight_shape(self):
-        space = scalar_space()
+        space = SpaceKind("scalar", 1)
         grid = np.linspace(0.0, 1.0, 5)
         traj = ObjectTrajectory(space, grid, grid[:, None])
         with pytest.raises(BadWeights):
@@ -363,12 +367,12 @@ class TestBarycenter:
 
 class TestScalarIsTheOnePointQuantile:
     """The real line is the quantile space of point masses: a scalar space
-    computes every number exactly as ``quantile_space(1)``."""
+    computes every number exactly as ``SpaceKind("quantile", 1)``."""
 
     def test_same_bytes_as_quantile_one(self):
         grid = np.linspace(0.0, 1.0, 21)
         values = np.random.default_rng(29).normal(-2.0, 5.0, size=(30, grid.size, 1))
-        scalar, one = scalar_space(), quantile_space(1)
+        scalar, one = SpaceKind("scalar", 1), SpaceKind("quantile", 1)
         assert scalar != one
         fits = [fit_fpca(ObjectSample(space, grid, values), n_components=3)
                 for space in (scalar, one)]
