@@ -1,8 +1,9 @@
 """Batch command-line interface.
 
-Commands: simulate, fit, mise, scores, export-plots.  Every command is
-pure given its input file, flags, and seed: re-running writes identical
-bytes, and the BLAS thread count never changes results.
+Commands: simulate, fit, mise.  Every command is pure given its input
+file, flags, and seed: re-running writes identical bytes, and the BLAS
+thread count never changes results.  No command repeats another: ``fit``
+writes the scores and plot CSVs next to its ``fit.json``.
 
 Exit codes: 0 success (including partial fits, which set a status
 field), 2 an ``errors.InputError`` or an unreadable input or unwritable
@@ -56,29 +57,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_sim, "--T", "--m", "--seed")
     p_sim.add_argument("--out", required=True, help="output JSON path")
 
-    for name, run, about, out_help in (
-        ("fit", cmd_fit, "fit a trajectory file", "output directory"),
-        ("scores", cmd_scores, "fit and write only the scores CSV", "output CSV path"),
-    ):
-        p_fit = sub.add_parser(name, help=about)
-        p_fit.set_defaults(run=run)
-        p_fit.add_argument("input", help="trajectory JSON file")
-        p_fit.add_argument("--space", choices=SPACE_TAGS, default=None,
-                           help="assert the input file's space (guards against mixing files)")
-        p_fit.add_argument("--components", type=int, default=4, metavar="K",
-                           help="number of eigencomponents to retain, at most T; "
-                                "components above the surface's numerical rank are "
-                                "dropped with a warning (default 4)")
-        p_fit.add_argument("--explained-fraction", type=float, default=None, metavar="F",
-                           help="keep the smallest K whose cumulative explained "
-                                "fraction reaches F, in (0, 1] (capped by --components)")
-        if name == "fit":  # object components never reach the scores file
-            p_fit.add_argument("--fpc-objects", action=argparse.BooleanOptionalAction,
-                               default=True,
-                               help="compute per-trajectory object components (on by default)")
-        p_fit.add_argument("--project-on-load", action="store_true",
-                           help="repair invalid objects by metric projection on load")
-        p_fit.add_argument("--out", required=True, help=out_help)
+    p_fit = sub.add_parser("fit", help="fit a trajectory file")
+    p_fit.set_defaults(run=cmd_fit)
+    p_fit.add_argument("input", help="trajectory JSON file")
+    p_fit.add_argument("--space", choices=SPACE_TAGS, default=None,
+                       help="assert the input file's space (guards against mixing files)")
+    p_fit.add_argument("--components", type=int, default=4, metavar="K",
+                       help="number of eigencomponents to retain, at most T; "
+                            "components above the surface's numerical rank are "
+                            "dropped with a warning (default 4)")
+    p_fit.add_argument("--explained-fraction", type=float, default=None, metavar="F",
+                       help="keep the smallest K whose cumulative explained "
+                            "fraction reaches F, in (0, 1] (capped by --components)")
+    p_fit.add_argument("--fpc-objects", action=argparse.BooleanOptionalAction, default=True,
+                       help="compute per-trajectory object components (on by default)")
+    p_fit.add_argument("--project-on-load", action="store_true",
+                       help="repair invalid objects by metric projection on load")
+    p_fit.add_argument("--out", required=True, help="output directory")
 
     p_mise = sub.add_parser("mise", help="Monte-Carlo error table for a design")
     p_mise.set_defaults(run=cmd_mise)
@@ -91,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mise.add_argument("--truth-debug", action="store_true",
                         help="feed the true surface into the eigen step (all errors ~ 0)")
     p_mise.add_argument("--out", required=True, help="output CSV path")
-
-    p_export = sub.add_parser("export-plots", help="re-emit plot CSVs from a fit artifact")
-    p_export.set_defaults(run=cmd_export_plots)
-    p_export.add_argument("artifact", help="fit.json produced by the fit command")
-    p_export.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -112,41 +102,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_fit(args, fpc_objects):
+def cmd_fit(args) -> int:
     sample = io.load_trajectory_file(args.input, project_on_load=args.project_on_load)
     if args.space is not None and sample.space.tag != args.space:
         raise SchemaError(f"file holds {sample.space.tag!r} objects, "
                           f"--space says {args.space!r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_fpca(sample, n_components=args.components, fpc_objects=fpc_objects,
+        fit = fit_fpca(sample, n_components=args.components, fpc_objects=args.fpc_objects,
                        explained_fraction=args.explained_fraction)
-    return fit, [str(w.message) for w in caught]
-
-
-def _write_plot_csvs(doc, out: Path) -> None:
-    """The surface, eigenfunction and score CSVs of a fit document."""
+    del sample  # the fit does not hold it, so the outputs are built without it
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    doc = io.fit_to_dict(fit, [str(w.message) for w in caught])
+    io.write_json(doc, out / "fit.json")
     io.write_surface_csv(out / "surface.csv", doc["time_grid"], doc["surface"])
     io.write_eigenfunctions_csv(out / "eigenfunctions.csv", doc["time_grid"],
                                 doc["eigenfunctions"])
     io.write_scores_csv(out / "scores.csv", doc["scores"])
-
-
-def cmd_fit(args) -> int:
-    fit, notes = _run_fit(args, args.fpc_objects)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = io.fit_to_dict(fit, notes)
-    io.write_json(doc, out / "fit.json")
-    _write_plot_csvs(doc, out)
     print(f"wrote {out / 'fit.json'} (status: {doc['status']})")
-    return 0
-
-
-def cmd_scores(args) -> int:
-    fit, _ = _run_fit(args, fpc_objects=False)
-    io.write_scores_csv(args.out, fit.scores)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -161,15 +135,6 @@ def cmd_mise(args) -> int:
                         truth_debug=args.truth_debug) for n in n_list]
     io.write_mise_csv(args.out, rows)
     print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_export_plots(args) -> int:
-    doc = io.load_fit_artifact(args.artifact)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_plot_csvs(doc, out)
-    print(f"wrote plot CSVs to {out}")
     return 0
 
 

@@ -4,16 +4,15 @@ One rule formats every number written: `_numbers` renders an array of
 reals with 17 significant digits, so each float round-trips exactly and
 each integer below 2**53 prints as an integer; NaN or inf raises
 InvalidObject.  The writers are deterministic byte for byte for a fixed
-input.  JSON files are read as UTF-8 text in 1 MiB chunks, never whole,
-and each element of a trajectory file's `trajectories` is copied into
-one (n, T, L) float array as soon as it is decoded, so neither the
-parsed document nor a list of per-trajectory arrays is ever held whole:
+input.  Trajectory files are read as UTF-8 text in 1 MiB chunks, never
+whole, and each element of a file's `trajectories` is copied into one
+(n, T, L) float array as soon as it is decoded, so neither the parsed
+document nor a list of per-trajectory arrays is ever held whole:
 a load peaks at the sample plus that array's growth as it fills.  Text
 that is not UTF-8, not JSON or nested too deep is a SchemaError that
 gives the offset of the fault in the file.  The filled array is
-validated once as a block.  A fit artifact read back for `export-plots`
-has its plotted fields checked for type and shape; a malformed one is a
-SchemaError.
+validated once as a block.  The fit artifact is written, never read:
+its plot CSVs are written with it.
 """
 
 from __future__ import annotations
@@ -167,10 +166,10 @@ class _JsonChunks:
                 return obj
 
 
-def _read_object(path, stream_key: str | None = None, collect=None) -> dict:
-    """The top-level object of a JSON file.  An array under ``stream_key``
-    becomes ``collect(elements)``, where ``elements`` yields each element
-    as soon as it is decoded; ``collect`` must exhaust it."""
+def _read_object(path) -> dict:
+    """The top-level object of a trajectory file, with its ``trajectories``
+    array, if it is one, as the ``_fill_trajectories`` of its elements,
+    each yielded as soon as it is decoded."""
     doc = {}
     with open(path, encoding="utf-8", newline="") as fh:
         js = _JsonChunks(fh)
@@ -183,9 +182,9 @@ def _read_object(path, stream_key: str | None = None, collect=None) -> dict:
                 raise js.invalid("Expecting property name enclosed in double quotes", js.pos)
             key = js.value(":")
             js.take(":", "':' delimiter")
-            if key == stream_key and js.peek() == "[":
+            if key == "trajectories" and js.peek() == "[":
                 js.pos += 1
-                doc[key] = collect(js.value() for _ in js.items("]"))
+                doc[key] = _fill_trajectories(js.value() for _ in js.items("]"))
             else:
                 doc[key] = js.value()
         if js.peek():
@@ -218,14 +217,6 @@ def _check_shape(got: tuple, field: str, shape: tuple) -> None:
     if len(got) != len(shape) or any(w != g for w, g in zip(shape, got) if w != "*"):
         want = ", ".join(map(str, shape))
         raise SchemaError(f"expected shape ({want}), got {got}", field=field)
-
-
-def _time_grid(value) -> np.ndarray:
-    grid = _real_array(value, "time_grid", ("*",))
-    try:
-        return _check_time_grid(grid)
-    except InvalidObject as exc:
-        raise SchemaError(str(exc), field="time_grid") from exc
 
 
 def save_trajectory_file(sample: ObjectSample, path) -> None:
@@ -272,7 +263,7 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     projected onto its space's constraint set, repairing invalid input
     instead of rejecting it.
     """
-    doc = _read_object(path, "trajectories", _fill_trajectories)
+    doc = _read_object(path)
     tag = _require(doc, "space", str)
     if tag not in SPACE_TAGS:
         raise SchemaError(f"unknown space {tag!r}", field="space")
@@ -281,7 +272,11 @@ def load_trajectory_file(path, project_on_load: bool = False) -> ObjectSample:
     except InvalidObject as exc:
         raise SchemaError(str(exc), field="dim") from exc
 
-    grid = _time_grid(_require(doc, "time_grid"))
+    grid = _real_array(_require(doc, "time_grid"), "time_grid", ("*",))
+    try:
+        grid = _check_time_grid(grid)
+    except InvalidObject as exc:
+        raise SchemaError(str(exc), field="time_grid") from exc
     trajs = doc.get("trajectories")
     if not isinstance(trajs, tuple):
         _require(doc, "trajectories", list)  # missing, or not an array: raises
@@ -343,20 +338,6 @@ def fit_to_dict(fit, warnings_list=()) -> dict:
             None if comps is None else comps.mean(axis=0) for comps in components
         ]
         doc["object_fpc_column_means_note"] = "derived display summary"
-    return doc
-
-
-def load_fit_artifact(path) -> dict:
-    """A fit artifact whose plotted fields are read as float arrays:
-    time_grid (T,), surface (T, T), eigenfunctions (K, T), scores (n, K)."""
-    doc = _read_object(path)
-    for field in ("time_grid", "eigenvalues", "eigenfunctions", "scores", "surface"):
-        _require(doc, field)
-    grid = doc["time_grid"] = _time_grid(doc["time_grid"])
-    doc["surface"] = _real_array(doc["surface"], "surface", (grid.size, grid.size))
-    funs = doc["eigenfunctions"] = _real_array(doc["eigenfunctions"], "eigenfunctions",
-                                               ("*", grid.size))
-    doc["scores"] = _real_array(doc["scores"], "scores", ("*", funs.shape[0]))
     return doc
 
 

@@ -15,7 +15,8 @@ it without reshuffling earlier trajectories.  The values of a whole
 sample are built in one broadcast over the draws, bit for bit equal to
 the one-trajectory builders of ``tests/oracles.py``, and validated once
 as one block.  The network directions are computed once per time grid,
-so a Monte-Carlo run rebuilds none of its invariants.  The brute-force
+and the truth once per design and grid, so neither a Monte-Carlo run nor
+another sample size rebuilds an invariant.  The brute-force
 population-eigenvalue oracle lives there too: no command runs it.
 """
 
@@ -271,9 +272,17 @@ def simulate(cfg) -> ObjectSample:
 
 def _truth(cfg) -> tuple[KernelSurface, EigenSystem]:
     """The design's population surface on the config's grid and its top
-    three eigenpairs; ``InvalidObject`` for anything but a simulation config."""
+    three eigenpairs; ``InvalidObject`` for anything but a simulation config.
+    Neither depends on the sample size or the seed, so each design and grid
+    builds them once, and every config that shares both gets the same
+    read-only pair."""
     if not isinstance(cfg, _SimConfig):
         raise InvalidObject(f"unknown simulation config {type(cfg).__name__}")
+    return _design_truth(replace(cfg, n=2, seed=0))
+
+
+@lru_cache(maxsize=16)
+def _design_truth(cfg) -> tuple[KernelSurface, EigenSystem]:
     surface = KernelSurface(cfg.time_grid, cfg.population_surface())
     return surface, eigendecompose(surface, k=3)
 

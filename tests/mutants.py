@@ -7,11 +7,12 @@ Run from the root of a checkout:
     python tests/mutants.py sign-tol     # only the named ones
 
 For each row of ``MUTANTS`` it copies the files the suite reads (``src``,
-``tests``, ``demos``, ``perfbench``, ``pytest.ini``, ``BENCHMARK.json``)
-to a temporary directory, replaces the row's old text with its new text
-there (the checkout is never edited), and runs ``python -m pytest -x -q``
-in the copy, without the host-pinned digest test, so that a mutant only
-that test would catch is not counted as killed, and without
+``tests``, ``demos``, ``perfbench``, ``pytest.ini``, ``BENCHMARK.json``,
+``README.md``) to a temporary directory, replaces the row's old text
+with its new text there (the checkout is never edited), and runs
+``python -m pytest -x -q`` in the copy, without the host-pinned digest
+test, so that a mutant only that test would catch is not counted as
+killed, and without
 ``test_mutant_rows.py``, which every mutant would fail by removing its
 own old text.  A failing run kills the
 mutant; the first failing test is printed.  For a survivor it runs the
@@ -32,7 +33,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "perfbench", "pytest.ini", "BENCHMARK.json")
+COPIED = ("src", "tests", "demos", "perfbench", "pytest.ini", "BENCHMARK.json", "README.md")
 DESELECTED = ("tests/test_output_digests.py::test_outputs_match_the_pinned_digests",
               "tests/test_mutant_rows.py")
 

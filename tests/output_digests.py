@@ -1,4 +1,4 @@
-"""Print the sha256 of 53 command outputs, to check that a change keeps
+"""Print the sha256 of 48 command outputs, to check that a change keeps
 every output byte.
 
 Run from the root of each checkout and compare:
@@ -10,8 +10,7 @@ It runs the ``ofpca`` commands of this checkout's ``src`` in a temporary
 directory and prints one ``sha256  relative-path`` line per file written:
 ``simulate --design dist|net --n 60 --seed 3``; ``fit`` (dist) and
 ``fit --components 3`` (net) of those samples; ``fit --explained-fraction
-0.5|0.9|0.99|1.0`` of each sample; ``scores`` of each sample;
-``export-plots`` of the dist fit; ``mise --design net --n 100 --runs 10
+0.5|0.9|0.99|1.0`` of each sample; ``mise --design net --n 100 --runs 10
 --seed 5``; ``mise --design dist --n 25,50 --runs 3``; and ``fit`` of
 ``tests/data/scalar_fixture.json``.
 
@@ -72,8 +71,6 @@ def commands():
         for f in FRACTIONS:
             yield ["fit", f"{design}.json", "--explained-fraction", f,
                    "--out", f"fit-{design}-ef{f}"]
-        yield ["scores", f"{design}.json", "--out", f"scores-{design}.csv"]
-    yield ["export-plots", "fit-dist/fit.json", "--out", "plots-dist"]
     yield ["mise", "--design", "net", "--n", "100", "--runs", "10", "--seed", "5",
            "--out", "mise-net.csv"]
     yield ["mise", "--design", "dist", "--n", "25,50", "--runs", "3", "--out", "mise-dist.csv"]

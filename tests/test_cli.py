@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from unittest.mock import Mock
 
 import numpy as np
@@ -33,18 +34,14 @@ class TestCommandLineSurface:
         "simulate": ["--design", "--n", "--T", "--m", "--seed", "--out"],
         "fit": ["input", "--space", "--components", "--explained-fraction", "--fpc-objects",
                 "--no-fpc-objects", "--project-on-load", "--out"],
-        "scores": ["input", "--space", "--components", "--explained-fraction",
-                   "--project-on-load", "--out"],
         "mise": ["--design", "--n", "--runs", "--T", "--m", "--seed", "--components",
                  "--truth-debug", "--out"],
-        "export-plots": ["artifact", "--out"],
     }
     # (argv with only the required arguments, defaults it must parse to)
     DEFAULTS = [
         (["simulate", "--design", "dist", "--n", "5"], dict(n_times=51, m=100, seed=0)),
         (["fit", "in.json"], dict(components=4, fpc_objects=True, explained_fraction=None,
                                   space=None, project_on_load=False)),
-        (["scores", "in.json"], dict(components=4)),
         (["mise", "--design", "net"], dict(n="25,50,100", runs=100, n_times=51, m=100,
                                            seed=0, components=3, truth_debug=False)),
     ]
@@ -67,6 +64,13 @@ class TestCommandLineSurface:
         for argv, defaults in self.DEFAULTS:
             args = vars(parser.parse_args(argv + ["--out", "out"]))
             assert {key: args[key] for key in defaults} == defaults, argv[0]
+
+    @pytest.mark.parametrize("command", ["scores", "export-plots"])
+    def test_removed_command_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "in.json", "--out", "out"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
@@ -197,6 +201,7 @@ class TestFitCommand:
             # a first element with no values is filled without np.fromiter
             (head + "[[[]], [[0.0], [1.0]]]}", "trajectories[0]: expected shape (2, 1), got (1, 0)"),
             (extra, f"not valid JSON: Extra data at char {len(extra) - 2}"),
+            ("[1, 2]", "top level must be an object"),
             ('{"space": "adjacency", "dim": 2, "time_grid": [0.0, 1.0], "trajectories": '
              f"[[[0, 1.5, 1.5, 0], {zero}], [{zero}, {zero}]]}}",
              "trajectories[0]: adjacency entries outside [0, 1]"),
@@ -358,6 +363,52 @@ class TestFitCommand:
         assert artifact["skipped_components"] == []
         assert artifact["warnings"] == []
 
+    def test_scores_csv_without_object_components(self, tmp_path):
+        # the scores do not depend on whether object components are computed
+        scores = {}
+        for flag in ("--fpc-objects", "--no-fpc-objects"):
+            out = tmp_path / flag.lstrip("-")
+            assert run(["fit", DATA / "scalar_fixture.json", "--components", "2", flag,
+                        "--out", out]) == 0
+            scores[flag] = (out / "scores.csv").read_bytes()
+        lines = scores["--no-fpc-objects"].decode().splitlines()
+        assert lines[0] == "i,beta1,beta2"
+        assert len(lines) == 9
+        assert scores["--no-fpc-objects"] == scores["--fpc-objects"]
+
+    def test_sample_freed_before_outputs_are_written(self, tmp_path, monkeypatch):
+        # a fit does not hold its sample, so the peak of writing the
+        # artifact does not add to the sample's memory
+        samples, load, write_json = [], ofpca.io.load_trajectory_file, ofpca.io.write_json
+
+        def load_and_watch(*args, **kwargs):
+            sample = load(*args, **kwargs)
+            samples.append(weakref.ref(sample))
+            return sample
+
+        def write_after_free(*args):
+            assert samples[0]() is None
+            write_json(*args)
+
+        monkeypatch.setattr(ofpca.io, "load_trajectory_file", load_and_watch)
+        monkeypatch.setattr(ofpca.io, "write_json", write_after_free)
+        assert run(["fit", DATA / "scalar_fixture.json", "--out", tmp_path / "fit"]) == 0
+
+    def test_readme_plot_snippet_matches_fit_csvs(self, tmp_path, monkeypatch):
+        # README's replacement for the removed export-plots command writes
+        # the plot CSVs of a fit.json with the bytes that fit wrote
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        snippet = readme.split("### Commands removed", 1)[1].split("```python\n", 1)[1]
+        snippet = snippet.split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
+                    "--out", "fitdir"]) == 0
+        pathlib.Path("plots").mkdir()
+        exec(snippet, {})
+        for name in ("surface.csv", "eigenfunctions.csv", "scores.csv"):
+            assert (tmp_path / "plots" / name).read_bytes() == (
+                tmp_path / "fitdir" / name).read_bytes(), name
+
 
 class TestSimulateFitPipeline:
     def test_simulated_distribution_recovers_top_eigenvalue(self, tmp_path):
@@ -370,16 +421,6 @@ class TestSimulateFitPipeline:
         artifact = json.loads((out / "fit.json").read_text())
         top = artifact["eigenvalues"][0]
         assert abs(top - 12.0) <= 0.25 * 12.0
-
-
-class TestScoresCommand:
-    def test_writes_only_scores(self, tmp_path):
-        out = tmp_path / "scores.csv"
-        assert run(["scores", DATA / "scalar_fixture.json", "--components", "2",
-                    "--out", out]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "i,beta1,beta2"
-        assert len(lines) == 9
 
 
 class TestMiseCommand:
@@ -446,44 +487,10 @@ class TestMiseCommand:
         assert not out.exists()
 
 
-class TestExportPlots:
-    def test_re_emits_csvs(self, tmp_path):
-        fit_dir = tmp_path / "fit"
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
-                    "--out", fit_dir]) == 0
-        export_dir = tmp_path / "plots"
-        assert run(["export-plots", fit_dir / "fit.json", "--out", export_dir]) == 0
-        for name in ("surface.csv", "eigenfunctions.csv", "scores.csv"):
-            assert (fit_dir / name).read_bytes() == (export_dir / name).read_bytes()
-
-    @pytest.mark.parametrize("field, value", [
-        ("scores", [1.0, 2.0]),
-        ("surface", [[1.0, 2.0], [2.0, 4.0]]),
-        ("time_grid", "abc"),
-    ])
-    def test_malformed_artifact_exits_2(self, tmp_path, capsys, field, value):
-        fit_dir = tmp_path / "fit"
-        assert run(["fit", DATA / "scalar_fixture.json", "--components", "2",
-                    "--out", fit_dir]) == 0
-        doc = json.loads((fit_dir / "fit.json").read_text())
-        doc[field] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        export_dir = tmp_path / "plots"
-        assert run(["export-plots", bad, "--out", export_dir]) == 2
-        assert f"{field}:" in capsys.readouterr().err
-        assert not export_dir.exists()
-
-    def test_non_object_artifact_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        assert run(["export-plots", bad, "--out", tmp_path / "plots"]) == 2
-        assert not (tmp_path / "plots").exists()
-
-
 class TestUndecodableInput:
     """Text that json cannot decode is an input error that names its
-    offset in the file, for both readers."""
+    offset in the file, both inside the streamed trajectories and in a
+    value decoded whole."""
 
     # (bad value, start of the message, offset of the fault in the value)
     BAD = {
@@ -493,17 +500,17 @@ class TestUndecodableInput:
     }
     HEADS = {
         "fit": b'{"space": "scalar", "dim": 1, "time_grid": [0, 1], "trajectories": [[[0], [1]], ',
-        "export-plots": b'{"time_grid": [0, 1], "scores": ',
+        "fit-time_grid": b'{"space": "scalar", "dim": 1, "time_grid": ',
     }
 
-    @pytest.mark.parametrize("command", list(HEADS))
+    @pytest.mark.parametrize("head", list(HEADS))
     @pytest.mark.parametrize("case", list(BAD))
-    def test_exits_2_naming_the_offset(self, tmp_path, capsys, command, case):
+    def test_exits_2_naming_the_offset(self, tmp_path, capsys, head, case):
         bad, message, shift = self.BAD[case]
-        head = self.HEADS[command]
+        head = self.HEADS[head]
         path = tmp_path / "bad.json"
         path.write_bytes(head + bad + b"]}")
-        assert run([command, path, "--out", tmp_path / "out"]) == 2
+        assert run(["fit", path, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: not valid JSON: " + message)
         assert err.endswith(f" {len(head) + shift}")

@@ -295,16 +295,17 @@ class TestFitArtifact:
         doc = ofio.fit_to_dict(fit)
         path = tmp_path / "fit.json"
         ofio.write_json(doc, path)
-        loaded = ofio.load_fit_artifact(path)
-        assert np.array_equal(np.asarray(loaded["surface"]), fit.surface.values)
-        assert np.array_equal(np.asarray(loaded["eigenvalues"]), fit.eigen.eigenvalues)
-        assert np.array_equal(np.asarray(loaded["scores"]), fit.scores)
-        assert np.array_equal(np.asarray(loaded["mean"]), fit.mean.values)
+        # every number is written as a float that reads back bit for bit
+        loaded = json.loads(path.read_text(), parse_int=float)
+        for field, want in (("surface", fit.surface.values), ("eigenvalues", fit.eigen.eigenvalues),
+                            ("eigenfunctions", fit.eigen.eigenfunctions), ("scores", fit.scores),
+                            ("mean", fit.mean.values)):
+            assert np.asarray(loaded[field]).tobytes() == want.tobytes(), field
         assert loaded["status"] == "ok"
         round2 = tmp_path / "fit2.json"
         ofio.write_json(loaded, round2)
-        # identical values after a save/load/save cycle
-        assert json.loads(path.read_text()) == json.loads(round2.read_text())
+        # identical bytes after a save/load/save cycle
+        assert path.read_bytes() == round2.read_bytes()
 
     @pytest.mark.parametrize("curves, fpc_objects, status", [
         ("antisymmetric", True, "partial"),
@@ -331,17 +332,6 @@ class TestFitArtifact:
         assert (doc["space"], doc["dim"]) == (sample.space.tag, sample.space.dim)
         with pytest.raises(TypeError):
             replace(fit, skipped_components=())
-
-    def test_time_grid_follows_the_trajectory_file_rule(self, tmp_path):
-        from ofpca import fit_fpca
-
-        sample = small_sample()
-        doc = ofio.fit_to_dict(fit_fpca(sample, n_components=2))
-        doc["time_grid"] = doc["time_grid"][::-1]
-        path = tmp_path / "fit.json"
-        ofio.write_json(doc, path)
-        with pytest.raises(SchemaError, match="time_grid: .*increasing"):
-            ofio.load_fit_artifact(path)
 
 
 class TestCsv:

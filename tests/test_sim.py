@@ -414,6 +414,17 @@ class TestTruth:
         lam3, se = network_population_eigenvalue_and_se(3, n_draws=300_000)
         assert abs(true_eigensystem(NetworkSimConfig(n=2)).eigenvalues[2] - lam3) <= 3.0 * se
 
+    @pytest.mark.parametrize("make_cfg", [DistributionSimConfig, NetworkSimConfig])
+    def test_truth_built_once_per_design_and_grid(self, make_cfg):
+        # the truth depends on neither the sample size nor the seed, so
+        # configs that differ only there share one read-only truth
+        surface, truth = sim._truth(make_cfg(n=25, n_times=17, seed=4))
+        again = sim._truth(make_cfg(n=100, n_times=17, seed=9))
+        assert again[0] is surface and again[1] is truth
+        assert true_eigensystem(make_cfg(n=3, n_times=17)) is truth
+        assert not surface.values.flags.writeable and not truth.eigenfunctions.flags.writeable
+        assert sim._truth(make_cfg(n=25, n_times=18, seed=4))[1] is not truth
+
     def test_unknown_config_rejected(self):
         with pytest.raises(InvalidObject):
             true_eigensystem(object())
