@@ -201,7 +201,6 @@ class TestFitCommand:
             # a first element with no values is filled without np.fromiter
             (head + "[[[]], [[0.0], [1.0]]]}", "trajectories[0]: expected shape (2, 1), got (1, 0)"),
             (extra, f"not valid JSON: Extra data at char {len(extra) - 2}"),
-            ("[1, 2]", "top level must be an object"),
             ('{"space": "adjacency", "dim": 2, "time_grid": [0.0, 1.0], "trajectories": '
              f"[[[0, 1.5, 1.5, 0], {zero}], [{zero}, {zero}]]}}",
              "trajectories[0]: adjacency entries outside [0, 1]"),
@@ -211,6 +210,13 @@ class TestFitCommand:
             path.write_text(text)
             assert run(["fit", path, "--out", tmp_path / "fit"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "fit").exists()
+
+    def test_non_object_top_level_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert run(["fit", bad, "--out", tmp_path / "fit"]) == 2
+        assert capsys.readouterr().err == "error: top level must be an object\n"
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
